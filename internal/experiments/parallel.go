@@ -69,7 +69,7 @@ type ParallelReport struct {
 // ParallelAblation measures the PR's three parallelism sites serial vs
 // parallel against a latency-injected internal origin: batch subresource
 // fetch, band-parallel snapshot paint, and the full cold adaptation
-// pipeline (fetch + adapt + raster + write).
+// pipeline (fetch + adapt + raster).
 func ParallelAblation(cfg ParallelConfig) (*ParallelReport, error) {
 	if cfg.Latency <= 0 {
 		cfg.Latency = 15 * time.Millisecond
@@ -241,7 +241,7 @@ func measureColdAdaptation(originURL string, cfg ParallelConfig) (ParallelRow, e
 		return nil
 	}
 	serial, err := bestOf(cfg.Trials, func() error {
-		return coldRequest(proxy.Config{FetchWorkers: 1, RasterWorkers: 1, WriteWorkers: 1})
+		return coldRequest(proxy.Config{FetchWorkers: 1, RasterWorkers: 1})
 	})
 	if err != nil {
 		return ParallelRow{}, err

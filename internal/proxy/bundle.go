@@ -201,6 +201,29 @@ func decodeBundle(data []byte) (*builtAdaptation, error) {
 			}
 		}
 	}
+	return b.seal(), nil
+}
+
+// bundleMemo pairs a bundle cache entry's data with its build.
+type bundleMemo struct {
+	data  []byte
+	build *builtAdaptation
+}
+
+// bundleFor returns the build of the bundle bytes data, decoding only
+// when data is not the slice last decoded or saved. The cache returns
+// the same slice for as long as an entry lives, so the gob decodes at
+// most once per cache entry, while TTL expiry, ?refresh=1, and a forced
+// prefetch still swap the build by replacing the entry.
+func (p *Proxy) bundleFor(data []byte) (*builtAdaptation, error) {
+	if m := p.bundleMemo.Load(); m != nil && sameBytes(m.data, data) {
+		return m.build, nil
+	}
+	b, err := decodeBundle(data)
+	if err != nil {
+		return nil, err
+	}
+	p.bundleMemo.Store(&bundleMemo{data: data, build: b})
 	return b, nil
 }
 
@@ -214,7 +237,7 @@ func (p *Proxy) loadBundle(ctx context.Context) (*builtAdaptation, bool) {
 	if !ok {
 		return nil, false
 	}
-	b, err := decodeBundle(e.Data)
+	b, err := p.bundleFor(e.Data)
 	if err != nil {
 		p.cfg.Cache.Delete(p.bundleKey)
 		obs.TraceFrom(ctx).Annotate("bundle", "discarded")
@@ -236,5 +259,6 @@ func (p *Proxy) saveBundle(b *builtAdaptation) {
 		return
 	}
 	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, p.bundleTTL)
+	p.bundleMemo.Store(&bundleMemo{data: data, build: b})
 	p.setBundleValidator(b.validator)
 }

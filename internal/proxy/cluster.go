@@ -63,7 +63,7 @@ func (p *Proxy) fetchFromOwner(ctx context.Context) (*builtAdaptation, bool) {
 		obs.TraceFrom(ctx).Annotate("cluster", "fallback_local")
 		return nil, false
 	}
-	b, derr := decodeBundle(data)
+	b, derr := p.bundleFor(data)
 	if derr != nil {
 		obs.TraceFrom(ctx).Annotate("cluster", "bad_peer_bundle")
 		return nil, false
@@ -124,7 +124,7 @@ func (p *Proxy) ClusterBuild(ctx context.Context) ([]byte, bool, error) {
 	}
 	// Warm the shared snapshot too, so the requester's snapshot fetch
 	// (and this node's next visitor) serves without a render.
-	p.prerenderSnapshot(b)
+	p.prerenderSnapshot(ctx, b)
 	// Serve the stored bytes when present (saveBundle just put them, or
 	// an earlier build did); re-encode only if the cache dropped them.
 	if e, ok := p.cfg.Cache.Get(p.bundleKey); ok {

@@ -104,8 +104,7 @@ func TestAdaptedEvictedOnDelete(t *testing.T) {
 
 // TestConcurrentFirstRequests drives many cold sessions in parallel
 // through the full (now concurrent) adaptation pipeline — the -race
-// guard for FetchAll, the band-parallel rasterizer, and the concurrent
-// file writes behind one proxy.
+// guard for FetchAll and the band-parallel rasterizer behind one proxy.
 func TestConcurrentFirstRequests(t *testing.T) {
 	rig := newRig(t, nil)
 	const clients = 8
@@ -135,22 +134,30 @@ func TestConcurrentFirstRequests(t *testing.T) {
 	}
 }
 
-// TestWriteFilesErrorPropagates checks the bounded write pool surfaces
-// the first failure.
-func TestWriteFilesErrorPropagates(t *testing.T) {
-	dir := t.TempDir()
-	jobs := []writeJob{
-		{path: filepath.Join(dir, "ok.html"), data: []byte("x"), kind: "subpage"},
-		{path: filepath.Join(dir, "missing-dir", "bad.html"), data: []byte("x"), kind: "subpage"},
-		{path: filepath.Join(dir, "ok2.html"), data: []byte("x"), kind: "subpage"},
+// TestInstallFilesErrorPropagates checks a personalized install
+// surfaces a failed write and, when the directory is writable, lands
+// every file of the build.
+func TestInstallFilesErrorPropagates(t *testing.T) {
+	sessions, err := session.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := writeFiles(jobs, 2); err == nil {
+	sess, err := sessions.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := (&builtAdaptation{files: []buildFile{
+		{dir: "pages", name: "ok.html", data: []byte("x"), kind: "subpage"},
+		{dir: "pages", name: filepath.Join("missing-dir", "bad.html"), data: []byte("x"), kind: "subpage"},
+	}}).seal()
+	if err := installFiles(sess, b); err == nil {
 		t.Fatal("expected write error")
 	}
-	if err := writeFiles(jobs[:1], 4); err != nil {
-		t.Fatalf("single good job: %v", err)
+	b.files = b.files[:1]
+	if err := installFiles(sess, b); err != nil {
+		t.Fatalf("single good file: %v", err)
 	}
-	if _, err := os.Stat(jobs[0].path); err != nil {
+	if _, err := os.Stat(filepath.Join(sess.Dir, "pages", "ok.html")); err != nil {
 		t.Fatalf("good file missing: %v", err)
 	}
 }

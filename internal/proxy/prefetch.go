@@ -3,14 +3,11 @@ package proxy
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"msite/internal/cache"
 	"msite/internal/fetch"
-	"msite/internal/imaging"
-	"msite/internal/raster"
 )
 
 // This file is the proxy surface the prefetch crawler
@@ -58,7 +55,7 @@ func (p *Proxy) PrefetchBuild(ctx context.Context, force bool) (bool, error) {
 	// of fetching the origin twice.
 	b, _, err := p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, build)
 	if err == nil && b != nil {
-		p.prerenderSnapshot(b)
+		p.prerenderSnapshot(ctx, b)
 	}
 	return ran.Load(), err
 }
@@ -70,43 +67,16 @@ func (p *Proxy) PrefetchBuild(ctx context.Context, force bool) (bool, error) {
 // cache entry means that visitor serves entirely warm. Sites with
 // per-session (non-shared) snapshots are skipped — there is no shared
 // entry to warm.
-func (p *Proxy) prerenderSnapshot(b *builtAdaptation) {
+func (p *Proxy) prerenderSnapshot(ctx context.Context, b *builtAdaptation) {
 	ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
 	if !p.cfg.Spec.Snapshot.Shared || ttl <= 0 {
 		return
 	}
-	var src []byte
-	for _, f := range b.files {
-		if f.dir == "pages" && f.name == "main.html" {
-			src = f.data
-			break
-		}
-	}
-	if src == nil {
-		return
-	}
-	fill := func() (cache.Entry, error) {
-		p.nSnapshotRenders.Add(1)
-		p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
-		doc := tidyDoc(string(src))
-		res := layoutForDoc(doc, p.width)
-		img := raster.Paint(res, raster.Options{Images: b.images, Workers: p.rasterWork})
-		scale := p.cfg.Spec.Snapshot.Scale
-		if scale <= 0 {
-			scale = 1
-		}
-		fid := snapshotFidelity(p.cfg.Spec)
-		scaled := imaging.ScaleFactor(img, scale)
-		encoded, err := imaging.Encode(scaled, fid)
-		if err != nil {
-			return cache.Entry{}, err
-		}
-		meta := fmt.Sprintf("%d,%d", scaled.Bounds().Dx(), scaled.Bounds().Dy())
-		return cache.Entry{Data: encoded, MIME: fid.MIME() + ";" + meta}, nil
-	}
 	// GetOrFill leaves an already-warm snapshot (live render or
 	// disk-tier rehydration) alone.
-	_, _ = p.cfg.Cache.GetOrFill("snapshot:"+p.cfg.Spec.Name, ttl, fill)
+	_, _ = p.cfg.Cache.GetOrFill("snapshot:"+p.cfg.Spec.Name, ttl, func() (cache.Entry, error) {
+		return p.renderSnapshot(ctx, b)
+	})
 }
 
 // BundleValidator returns the persisted bundle's origin validator. Zero

@@ -1,11 +1,13 @@
 // Package proxy implements m.Site's multi-session content adaptation
 // proxy (§3.2): the generated shell code's runtime. It manages session
-// cookies and per-user protected directories, downloads origin pages on
-// demand with per-user cookie jars and HTTP auth interposition, runs the
-// source-level filter phase and the DOM-level attribute phase, writes
-// generated subpages and images into the user's session directory,
-// serves the cached snapshot entry page, and satisfies rewritten AJAX
-// calls — all without a heavyweight browser instance per client.
+// cookies, downloads origin pages on demand with per-user cookie jars and
+// HTTP auth interposition, runs the source-level filter phase and the
+// DOM-level attribute phase, serves the generated subpages and images
+// from one immutable in-memory build shared by every anonymous session
+// (personalized sessions also get the paper's protected per-user
+// directory), serves the cached snapshot entry page, and satisfies
+// rewritten AJAX calls — all without a heavyweight browser instance per
+// client.
 package proxy
 
 import (
@@ -78,9 +80,6 @@ type Config struct {
 	// RasterWorkers is the band parallelism of snapshot rasterization.
 	// 0 uses GOMAXPROCS; 1 forces the serial painter.
 	RasterWorkers int
-	// WriteWorkers bounds the concurrent subpage/asset file writes per
-	// adaptation. 0 defaults to 4; 1 forces serial writes.
-	WriteWorkers int
 	// ServeStale keeps serving a session's previous adaptation (and the
 	// shared snapshot past its TTL) when re-adaptation fails because the
 	// origin is unreachable, instead of returning 502.
@@ -197,7 +196,6 @@ type Proxy struct {
 	obs        *obs.Registry
 	logger     *slog.Logger
 	rasterWork int
-	writeWork  int
 	staleFor   time.Duration
 	// bundleKey is the durable-bundle cache key for this proxy's
 	// (site, spec hash, device class, fidelity); empty when
@@ -209,6 +207,14 @@ type Proxy struct {
 	// (valMu-guarded; populated by saveBundle and loadBundle).
 	valMu     sync.Mutex
 	bundleVal BundleValidator
+	// bundleMemo pairs the bundle cache entry's data last decoded or
+	// saved with its build, so the gob decodes at most once per entry.
+	bundleMemo atomic.Pointer[bundleMemo]
+	// snapMemo is the snapshot last served with its ETag, so a shared
+	// cache entry's ETag is computed once.
+	snapMemo atomic.Pointer[buildFile]
+	// overlayMemo is the buffered entry page last built.
+	overlayMemo atomic.Pointer[overlayMemo]
 
 	// Work counters are atomic (not under mu) so Stats() snapshots and
 	// metric scrapes never contend with the adaptation hot path.
@@ -222,16 +228,19 @@ type Proxy struct {
 	// personalized sessions bypass it.
 	coalesce *admission.Coalescer[*builtAdaptation]
 
+	// adapted maps a session ID to the build it serves from: anonymous
+	// sessions share one build, personalized sessions hold their own.
 	mu       sync.Mutex
-	adapted  map[string]*adaptation // by session ID
+	adapted  map[string]*builtAdaptation
 	inflight map[string]chan struct{}
 
 	// snapGen versions the full-fidelity snapshot URL on the streaming
 	// path, so the coarse-first overlay's upgrade reference never hits a
 	// client cache entry from a previous render generation.
 	snapGen atomic.Uint64
-	// snaps tracks per-session background snapshot renders; the asset
-	// handler waits on them instead of 404ing a not-yet-written file.
+	// snaps holds each session's entry snapshot: the bytes its last
+	// entry referenced, or a background render the asset handler waits
+	// on.
 	snapMu sync.Mutex
 	snaps  map[string]*snapState
 
@@ -239,16 +248,6 @@ type Proxy struct {
 	// lastParity is the most recent parity report for /debug/parity.
 	repairRules []quality.Rule
 	lastParity  atomic.Pointer[quality.Parity]
-}
-
-// adaptation is one session's generated content.
-type adaptation struct {
-	subpages map[string]*attr.Subpage
-	notes    []string
-	when     time.Time
-	// images are the decoded subresources downloaded on the client's
-	// behalf, reused for the snapshot render.
-	images map[string]image.Image
 }
 
 // New validates the config and builds the proxy.
@@ -288,10 +287,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.FetchWorkers > 0 {
 		cfg.FetchOptions = append(cfg.FetchOptions, fetch.WithWorkers(cfg.FetchWorkers))
 	}
-	writeWork := cfg.WriteWorkers
-	if writeWork <= 0 {
-		writeWork = 4
-	}
 	staleFor := cfg.StaleFor
 	if cfg.ServeStale && staleFor <= 0 {
 		staleFor = DefaultStaleFor
@@ -308,10 +303,9 @@ func New(cfg Config) (*Proxy, error) {
 		obs:        reg,
 		logger:     cfg.Logger,
 		rasterWork: cfg.RasterWorkers,
-		writeWork:  writeWork,
 		staleFor:   staleFor,
 		coalesce:   admission.NewCoalescer[*builtAdaptation](),
-		adapted:    make(map[string]*adaptation),
+		adapted:    make(map[string]*builtAdaptation),
 		inflight:   make(map[string]chan struct{}),
 		snaps:      make(map[string]*snapState),
 	}
@@ -673,8 +667,8 @@ func (p *Proxy) handleStats(w http.ResponseWriter, _ *http.Request) {
 	stats := p.Stats()
 	p.mu.Lock()
 	noteSet := make(map[string]bool)
-	for _, ad := range p.adapted {
-		for _, note := range ad.notes {
+	for _, b := range p.adapted {
+		for _, note := range b.notes {
 			noteSet[note] = true
 		}
 	}
@@ -717,14 +711,14 @@ func (p *Proxy) ensureSession(w http.ResponseWriter, r *http.Request) (*session.
 	return sess, true
 }
 
-// ensureAdaptation runs the full pipeline for a session once (or again
-// with ?refresh=1): fetch, filter phase, Tidy parse, attribute phase,
-// file generation.
-func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, force bool) (*adaptation, error) {
+// ensureAdaptation returns the build a session serves from, running the
+// full pipeline (fetch, filter phase, Tidy parse, attribute phase, file
+// generation) or loading the shared build once per session, and again
+// with ?refresh=1.
+func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, force bool) (*builtAdaptation, error) {
 	// Single-flight per session: concurrent first requests (a mobile
 	// browser fetching the entry page and a subpage in parallel) must
-	// not run the fetch+adapt pipeline twice or race on the session
-	// directory.
+	// not run the fetch+adapt pipeline twice.
 	for {
 		p.mu.Lock()
 		if ad, ok := p.adapted[sess.ID]; ok && !force {
@@ -779,15 +773,17 @@ func isAuthError(err error) bool {
 // runAdaptation admits one pipeline run through the admission
 // controller and executes it. Anonymous sessions coalesce: a flash
 // crowd of N cold clients on the same page shares one build (one origin
-// fetch, one filter+attr pass, one admission slot) and then installs
-// the shared product into each session's directory. Personalized
-// sessions (stored HTTP auth, marshaled logins) never coalesce — their
-// origin content may differ per user.
-func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force bool) (*adaptation, error) {
+// fetch, one filter+attr pass, one admission slot) and every one of
+// them serves from that build in memory. Personalized sessions (stored
+// HTTP auth, marshaled logins) never coalesce — their origin content
+// may differ per user — and their build is also installed into the
+// session's protected directory (§3.2).
+func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force bool) (*builtAdaptation, error) {
+	personal := sess.Personalized()
 	// Non-personalized builds may come out of the durable bundle instead
 	// of the pipeline: a restarted proxy warm-starts from its store. A
 	// forced refresh (?refresh=1) bypasses and overwrites the bundle.
-	usePersist := p.bundleKey != "" && !sess.Personalized()
+	usePersist := p.bundleKey != "" && !personal
 	build := func(bctx context.Context) (*builtAdaptation, error) {
 		if usePersist && !force {
 			if b, ok := p.loadBundle(bctx); ok {
@@ -817,7 +813,7 @@ func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force 
 		coalesced bool
 		err       error
 	)
-	if sess.Personalized() {
+	if personal {
 		// Sticky routing: a session-bearing build never leaves this node
 		// (its origin content may be user-specific, and its session state
 		// lives here).
@@ -835,18 +831,25 @@ func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force 
 		p.obs.Counter("msite_admission_coalesced_total", "site", p.cfg.Spec.Name).Inc()
 		obs.TraceFrom(ctx).Annotate("coalesced", "adaptation")
 	}
-	return p.installAdaptation(sess, b)
+	if personal {
+		if err := installFiles(sess, b); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // builtAdaptation is the session-independent product of one pipeline
-// run: the subpage set, notes, decoded images, and the serialized files
-// to install under a session directory. One build may be installed into
-// many sessions when cold requests coalesce.
+// run: the subpage set, notes, decoded images, and the serialized
+// files. It is immutable once sealed; every anonymous session serving
+// the same build shares one value.
 type builtAdaptation struct {
 	subpages map[string]*attr.Subpage
-	notes    []string
-	images   map[string]image.Image
-	files    []buildFile
+	// ordered is subpages sorted by name: the overlay's area order.
+	ordered []*attr.Subpage
+	notes   []string
+	images  map[string]image.Image
+	files   []buildFile
 	// validator is the origin's freshness evidence from this build's
 	// entry fetch, persisted with the bundle (v2) so the prefetch
 	// refresher can revalidate instead of re-downloading.
@@ -854,12 +857,43 @@ type builtAdaptation struct {
 }
 
 // buildFile is one generated file, named relative to a session
-// directory ("pages" or "images").
+// directory ("pages" or "images"), with its response ETag.
 type buildFile struct {
 	dir  string
 	name string
 	data []byte
 	kind string
+	etag string
+}
+
+// seal readies a made or decoded build for serving: the overlay's area
+// order and each file's ETag are computed here, once.
+func (b *builtAdaptation) seal() *builtAdaptation {
+	b.ordered = make([]*attr.Subpage, 0, len(b.subpages))
+	for _, sub := range b.subpages {
+		b.ordered = append(b.ordered, sub)
+	}
+	sort.Slice(b.ordered, func(i, j int) bool { return b.ordered[i].Name < b.ordered[j].Name })
+	for i := range b.files {
+		b.files[i].etag = etagOf(b.files[i].data)
+	}
+	return b
+}
+
+// file returns the generated file dir/name, or nil when the build has
+// none.
+func (b *builtAdaptation) file(dir, name string) *buildFile {
+	for i := range b.files {
+		if f := &b.files[i]; f.dir == dir && f.name == name {
+			return f
+		}
+	}
+	return nil
+}
+
+// etagOf is the strong content ETag of an immutable response body.
+func etagOf(data []byte) string {
+	return fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data))
 }
 
 // buildAdaptation runs the fetch → filter → attribute → serialization
@@ -905,6 +939,12 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*builtAd
 	}
 	images := fetchImages(ctx, f, doc, page.URL)
 	sp.End()
+	// Cancellation is not a stage failure: subresources cut short because
+	// every requester went away would make a degraded build that
+	// PersistBundles then serves for its whole TTL.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	applier := *p.applier // copy: Images are per-fetch
 	applier.Images = images
 	sp = obs.StartSpan(ctx, "attr")
@@ -937,11 +977,9 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*builtAd
 	}
 	sp.End()
 
-	// Serialize the generated files (§3.2: "All of the files generated
-	// during a user's session are stored in the file system under a
-	// (protected) subdirectory"). The serialization (DOM walks) happens
-	// here, once per build; the writes happen per session in
-	// installAdaptation.
+	// Serialize the generated files once per build. Sessions serve them
+	// from memory; only personalized sessions also get them on disk
+	// (installFiles).
 	sp = obs.StartSpan(ctx, "subpage_split")
 	defer sp.End()
 	b := &builtAdaptation{
@@ -1001,40 +1039,33 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*builtAd
 
 	p.nAdaptations.Add(1)
 	p.obs.Counter("msite_proxy_adaptations_total", "site", p.cfg.Spec.Name).Inc()
-	return b, nil
+	return b.seal(), nil
 }
 
-// installAdaptation writes a built adaptation's files into one
-// session's protected directory. The resulting byte slices are written
-// concurrently by a bounded worker set — subpage counts are small but
-// each write is an independent fsync path, so overlapping them trims
-// the tail of a cold adaptation.
-func (p *Proxy) installAdaptation(sess *session.Session, b *builtAdaptation) (*adaptation, error) {
+// installFiles writes a personalized session's build into its protected
+// directory (§3.2: "All of the files generated during a user's session
+// are stored in the file system under a (protected) subdirectory").
+// Anonymous sessions serve identical content, so they share the build in
+// memory and get no directory.
+func installFiles(sess *session.Session, b *builtAdaptation) error {
 	pagesDir, err := sess.SubpageDir()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	imagesDir, err := sess.ImageDir()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	jobs := make([]writeJob, 0, len(b.files))
 	for _, bf := range b.files {
 		dir := pagesDir
 		if bf.dir == "images" {
 			dir = imagesDir
 		}
-		jobs = append(jobs, writeJob{path: filepath.Join(dir, bf.name), data: bf.data, kind: bf.kind})
+		if err := os.WriteFile(filepath.Join(dir, bf.name), bf.data, 0o600); err != nil {
+			return fmt.Errorf("proxy: writing %s: %w", bf.kind, err)
+		}
 	}
-	if err := writeFiles(jobs, p.writeWork); err != nil {
-		return nil, err
-	}
-	return &adaptation{
-		subpages: b.subpages,
-		notes:    b.notes,
-		when:     time.Now(),
-		images:   b.images,
-	}, nil
+	return nil
 }
 
 // qualityPass is the post-attr quality hook: it runs the configured
@@ -1106,65 +1137,6 @@ func (p *Proxy) degrade(ctx context.Context, stage string, err error) string {
 	return fmt.Sprintf("degraded %s: %v", stage, err)
 }
 
-// writeJob is one generated file of an adaptation.
-type writeJob struct {
-	path string
-	data []byte
-	kind string
-}
-
-// writeFiles writes every job with a bounded worker set (errgroup
-// style): all writes are attempted concurrently up to the worker limit,
-// workers drain early once a failure is recorded, and the first error
-// is returned.
-func writeFiles(jobs []writeJob, workers int) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, job := range jobs {
-			if err := os.WriteFile(job.path, job.data, 0o600); err != nil {
-				return fmt.Errorf("proxy: writing %s: %w", job.kind, err)
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		first  error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || failed.Load() {
-					return
-				}
-				job := jobs[i]
-				if err := os.WriteFile(job.path, job.data, 0o600); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = fmt.Errorf("proxy: writing %s: %w", job.kind, err)
-					}
-					mu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
-}
-
 func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sess, ok := p.ensureSession(w, r)
@@ -1176,7 +1148,7 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		p.streamEntry(w, r, sess, start)
 		return
 	}
-	ad, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
+	b, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
 	if err != nil {
 		p.fetchError(w, r, err)
 		return
@@ -1186,68 +1158,76 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		// MAML-style mode: the compact layout-only page, no snapshot
 		// work at all. Older persisted bundles predate minimal.html;
 		// degrade to the adapted main page if it is missing.
-		data, err := os.ReadFile(p.sessionFile(sess, "pages", "minimal.html"))
-		if err != nil {
-			data, err = os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
+		page := b.file("pages", "minimal.html")
+		if page == nil {
+			page = b.file("pages", "main.html")
 		}
-		if err != nil {
-			p.serverError(w, r, http.StatusInternalServerError, "adaptation missing", err)
+		if page == nil {
+			p.serverError(w, r, http.StatusInternalServerError, "adaptation missing", errNoMainPage)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(data)
+		_, _ = w.Write(page.data)
 		p.obs.Histogram("msite_proxy_atf_seconds", "site", p.cfg.Spec.Name, "mode", "minimal").
 			ObserveDuration(time.Since(start))
 		return
 	}
 
-	if !p.cfg.Spec.Snapshot.Enabled {
-		// No snapshot: serve the adapted main page directly.
-		data, err := os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
-		if err != nil {
-			p.serverError(w, r, http.StatusInternalServerError, "adaptation missing", err)
+	if p.cfg.Spec.Snapshot.Enabled {
+		snap, width, height, err := p.snapshot(r.Context(), b)
+		if err == nil {
+			p.setSnapshot(sess.ID, snap)
+			w.Header().Set("Content-Type", "text/html; charset=utf-8")
+			_, _ = w.Write(p.overlay(b, width, height))
+			// Buffered serving completes everything at once: the whole
+			// page is the above-the-fold content.
+			p.obs.Histogram("msite_proxy_atf_seconds", "site", p.cfg.Spec.Name, "mode", "buffered").
+				ObserveDuration(time.Since(start))
 			return
 		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(data)
-		return
-	}
-
-	snap, scale, width, height, err := p.snapshot(r.Context(), sess)
-	if err != nil {
 		// The graphical entry page is an enhancement over the adapted
 		// document, not a prerequisite: if the render fails, degrade to
 		// serving the adapted main page directly.
 		_ = p.degrade(r.Context(), "snapshot", err)
-		data, rerr := os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
-		if rerr != nil {
-			p.fetchError(w, r, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(data)
+	}
+	// No snapshot (or a failed one): serve the adapted main page.
+	page := b.file("pages", "main.html")
+	if page == nil {
+		p.serverError(w, r, http.StatusInternalServerError, "adaptation missing", errNoMainPage)
 		return
 	}
-	_ = snap
-
-	var subs []*attr.Subpage
-	for _, sub := range ad.subpages {
-		subs = append(subs, sub)
-	}
-	overlay := p.applier.BuildOverlayHTML(attr.Overlay{
-		SnapshotURL: p.prefix + "/asset/snapshot" + snapshotFidelity(p.cfg.Spec).Ext(),
-		Width:       width,
-		Height:      height,
-		Scale:       scale,
-		Title:       p.cfg.Spec.Name,
-	}, subs)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write(overlay)
-	// Buffered serving completes everything at once: the whole page is
-	// the above-the-fold content.
-	p.obs.Histogram("msite_proxy_atf_seconds", "site", p.cfg.Spec.Name, "mode", "buffered").
-		ObserveDuration(time.Since(start))
+	_, _ = w.Write(page.data)
 }
+
+// overlayMemo is the buffered entry page of one build over one
+// snapshot geometry.
+type overlayMemo struct {
+	build *builtAdaptation
+	w, h  int
+	page  []byte
+}
+
+// overlay returns the buffered entry page for build b over a w×h
+// snapshot. Every anonymous session serves the same build and snapshot,
+// so the page is rebuilt only when either changes.
+func (p *Proxy) overlay(b *builtAdaptation, w, h int) []byte {
+	if m := p.overlayMemo.Load(); m != nil && m.build == b && m.w == w && m.h == h {
+		return m.page
+	}
+	page := p.applier.BuildOverlayHTML(attr.Overlay{
+		SnapshotURL: p.prefix + "/asset/" + p.snapshotName(),
+		Width:       w,
+		Height:      h,
+		Scale:       p.snapshotScale(),
+		Title:       p.cfg.Spec.Name,
+	}, b.ordered)
+	p.overlayMemo.Store(&overlayMemo{build: b, w: w, h: h, page: page})
+	return page
+}
+
+// errNoMainPage reports a build without the adapted main page.
+var errNoMainPage = errors.New("proxy: build has no main page")
 
 func snapshotFidelity(s *spec.Spec) imaging.Fidelity {
 	switch s.Snapshot.Fidelity {
@@ -1262,53 +1242,33 @@ func snapshotFidelity(s *spec.Spec) imaging.Fidelity {
 	}
 }
 
-// snapshot renders (or fetches from the shared cache) the scaled entry
-// snapshot, returning its bytes and geometry. The layout, raster, and
-// encode stages of a cold render are recorded as spans; whether the
-// snapshot came from the shared cache is annotated on the request trace.
-func (p *Proxy) snapshot(ctx context.Context, sess *session.Session) (data []byte, scale float64, w, h int, err error) {
-	fid := snapshotFidelity(p.cfg.Spec)
-	scale = p.cfg.Spec.Snapshot.Scale
-	if scale <= 0 {
-		scale = 1
+// snapshotScale is the spec's snapshot scale factor (1 when unset).
+func (p *Proxy) snapshotScale() float64 {
+	if s := p.cfg.Spec.Snapshot.Scale; s > 0 {
+		return s
 	}
-	ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
+	return 1
+}
 
-	p.mu.Lock()
-	var snapImages map[string]image.Image
-	if ad, ok := p.adapted[sess.ID]; ok {
-		snapImages = ad.images
-	}
-	p.mu.Unlock()
+// snapshotName is the asset name of the full-fidelity entry snapshot.
+func (p *Proxy) snapshotName() string {
+	return "snapshot" + snapshotFidelity(p.cfg.Spec).Ext()
+}
+
+// snapshot fetches from the shared cache (or renders) the scaled entry
+// snapshot of build b, returning it with its geometry. The layout,
+// raster, and encode stages of a cold render are recorded as spans;
+// whether the snapshot came from the shared cache is annotated on the
+// request trace.
+func (p *Proxy) snapshot(ctx context.Context, b *builtAdaptation) (snap *buildFile, w, h int, err error) {
+	ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
 
 	// filled is atomic: with stale-while-revalidate the fill can run on a
 	// background refresh goroutine while this request inspects it.
 	var filled atomic.Bool
 	fill := func() (cache.Entry, error) {
 		filled.Store(true)
-		p.nSnapshotRenders.Add(1)
-		p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
-		mainPath := p.sessionFile(sess, "pages", "main.html")
-		src, err := os.ReadFile(mainPath)
-		if err != nil {
-			return cache.Entry{}, fmt.Errorf("proxy: reading adapted main: %w", err)
-		}
-		sp := obs.StartSpan(ctx, "layout")
-		doc := tidyDoc(string(src))
-		res := layoutForDoc(doc, p.width)
-		sp.End()
-		sp = obs.StartSpan(ctx, "raster")
-		img := raster.Paint(res, raster.Options{Images: snapImages, Workers: p.rasterWork})
-		sp.End()
-		sp = obs.StartSpan(ctx, "encode")
-		scaled := imaging.ScaleFactor(img, scale)
-		encoded, err := imaging.Encode(scaled, fid)
-		sp.End()
-		if err != nil {
-			return cache.Entry{}, err
-		}
-		meta := fmt.Sprintf("%d,%d", scaled.Bounds().Dx(), scaled.Bounds().Dy())
-		return cache.Entry{Data: encoded, MIME: fid.MIME() + ";" + meta}, nil
+		return p.renderSnapshot(ctx, b)
 	}
 
 	var entry cache.Entry
@@ -1341,20 +1301,67 @@ func (p *Proxy) snapshot(ctx context.Context, sess *session.Session) (data []byt
 		obs.TraceFrom(ctx).Annotate("cache", "bypass")
 	}
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, 0, 0, err
 	}
 	// Geometry rides in the MIME suffix; parse it back out.
 	w, h = parseGeometry(entry.MIME)
-	// Persist into the session image dir so /asset can serve it.
-	imagesDir, derr := sess.ImageDir()
-	if derr != nil {
-		return nil, 0, 0, 0, derr
+	return p.snapshotFile(entry.Data), w, h, nil
+}
+
+// snapshotFile wraps snapshot bytes for serving. The shared cache hands
+// back the same slice on every hit, so the ETag is computed once per
+// cache entry.
+func (p *Proxy) snapshotFile(data []byte) *buildFile {
+	if f := p.snapMemo.Load(); f != nil && sameBytes(f.data, data) {
+		return f
 	}
-	name := "snapshot" + fid.Ext()
-	if werr := os.WriteFile(filepath.Join(imagesDir, name), entry.Data, 0o600); werr != nil {
-		return nil, 0, 0, 0, fmt.Errorf("proxy: writing snapshot: %w", werr)
+	f := snapshotRung(p.snapshotName(), data)
+	p.snapMemo.Store(f)
+	return f
+}
+
+// snapshotRung wraps one encoded snapshot rung for the asset handler.
+func snapshotRung(name string, data []byte) *buildFile {
+	return &buildFile{dir: "images", name: name, data: data, kind: "snapshot", etag: etagOf(data)}
+}
+
+// sameBytes reports whether a and b are the same slice (not merely
+// equal contents): the identity of a cache entry's data.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// renderSnapshot is one cold snapshot render of a build's main page:
+// layout, raster, scale, and encode, each recorded as a span. The
+// scaled geometry rides in the entry's MIME suffix (parseGeometry).
+func (p *Proxy) renderSnapshot(ctx context.Context, b *builtAdaptation) (cache.Entry, error) {
+	p.nSnapshotRenders.Add(1)
+	p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
+	page := b.file("pages", "main.html")
+	if page == nil {
+		return cache.Entry{}, errNoMainPage
 	}
-	return entry.Data, scale, w, h, nil
+	fid := snapshotFidelity(p.cfg.Spec)
+	sp := obs.StartSpan(ctx, "layout")
+	res := layoutForDoc(tidyDoc(string(page.data)), p.width)
+	sp.End()
+	sp = obs.StartSpan(ctx, "raster")
+	img := raster.Paint(res, raster.Options{Images: b.images, Workers: p.rasterWork})
+	sp.End()
+	sp = obs.StartSpan(ctx, "encode")
+	scaled := imaging.ScaleFactor(img, p.snapshotScale())
+	encoded, err := imaging.Encode(scaled, fid)
+	sp.End()
+	if err != nil {
+		return cache.Entry{}, err
+	}
+	return snapshotEntry(encoded, fid, scaled.Bounds().Dx(), scaled.Bounds().Dy()), nil
+}
+
+// snapshotEntry is the shared-cache form of an encoded snapshot, its
+// geometry in the MIME suffix.
+func snapshotEntry(data []byte, fid imaging.Fidelity, w, h int) cache.Entry {
+	return cache.Entry{Data: data, MIME: fmt.Sprintf("%s;%d,%d", fid.MIME(), w, h)}
 }
 
 func parseGeometry(mime string) (w, h int) {
@@ -1381,18 +1388,19 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 		http.NotFound(w, r)
 		return
 	}
-	ad, err := p.ensureAdaptation(r.Context(), sess, false)
+	b, err := p.ensureAdaptation(r.Context(), sess, false)
 	if err != nil {
 		p.fetchError(w, r, err)
 		return
 	}
-	if _, ok := ad.subpages[name]; !ok {
+	if _, ok := b.subpages[name]; !ok {
 		http.NotFound(w, r)
 		return
 	}
-	data, err := os.ReadFile(p.sessionFile(sess, "pages", attr.SubpageFileName(name)))
-	if err != nil {
-		p.serverError(w, r, http.StatusInternalServerError, "subpage missing", err)
+	page := b.file("pages", attr.SubpageFileName(name))
+	if page == nil {
+		p.serverError(w, r, http.StatusInternalServerError, "subpage missing",
+			fmt.Errorf("proxy: build has no file for subpage %q", name))
 		return
 	}
 	// The pluggable engine hook (§1: "multiple rendering engines to
@@ -1404,7 +1412,7 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 			http.Error(w, "unknown format: "+format, http.StatusBadRequest)
 			return
 		}
-		out, err := engine.Render(tidyDoc(string(data)), layout.Viewport{Width: p.width})
+		out, err := engine.Render(tidyDoc(string(page.data)), layout.Viewport{Width: p.width})
 		if err != nil {
 			p.serverError(w, r, http.StatusInternalServerError, "render failed", err)
 			return
@@ -1414,7 +1422,7 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write(data)
+	_, _ = w.Write(page.data)
 }
 
 func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName string) {
@@ -1427,16 +1435,20 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 		http.NotFound(w, r)
 		return
 	}
-	data, err := os.ReadFile(p.sessionFile(sess, "images", name))
-	if err != nil {
-		// A streaming entry references snapshot assets before the
-		// background render has written them; wait for the render
-		// instead of 404ing the race.
-		data, err = p.awaitSnapshotAsset(r, sess, name)
-		if err != nil {
-			http.NotFound(w, r)
-			return
+	var asset *buildFile
+	if name == p.snapshotName() || name == coarseSnapshotName {
+		asset = p.awaitSnapshot(r, sess.ID, name)
+	} else {
+		p.mu.Lock()
+		b := p.adapted[sess.ID]
+		p.mu.Unlock()
+		if b != nil {
+			asset = b.file("images", name)
 		}
+	}
+	if asset == nil {
+		http.NotFound(w, r)
+		return
 	}
 	switch {
 	case strings.HasSuffix(name, ".png"):
@@ -1456,13 +1468,12 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 	}
 	// Conditional requests save the image bytes on revisits — the
 	// dominant cost on 3G links.
-	etag := fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data))
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
+	w.Header().Set("ETag", asset.etag)
+	if r.Header.Get("If-None-Match") == asset.etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	_, _ = w.Write(data)
+	_, _ = w.Write(asset.data)
 }
 
 func (p *Proxy) handleAJAX(w http.ResponseWriter, r *http.Request) {
@@ -1567,10 +1578,6 @@ func (p *Proxy) fetchError(w http.ResponseWriter, r *http.Request, err error) {
 		return
 	}
 	p.serverError(w, r, http.StatusBadGateway, "origin unavailable", err)
-}
-
-func (p *Proxy) sessionFile(sess *session.Session, sub, name string) string {
-	return filepath.Join(sess.Dir, sub, name)
 }
 
 func originHost(origin string) string {

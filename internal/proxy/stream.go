@@ -4,13 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"image"
 	"io"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,28 +21,54 @@ import (
 	"msite/internal/session"
 )
 
-// coarseSnapshotName is the session-directory file (and asset name) of
-// the coarse first rung of a progressive snapshot.
+// coarseSnapshotName is the asset name of the coarse first rung of a
+// progressive snapshot.
 const coarseSnapshotName = "snapshot-coarse.jpg"
 
-// snapState tracks one session's background snapshot render. The asset
-// handler waits on the rungs instead of 404ing a file the renderer has
-// not written yet.
+// snapState is one session's entry snapshot: the rungs its overlay
+// references. A streaming entry publishes them from a background render
+// the asset handler waits on; a buffered entry publishes a finished
+// state holding the bytes it served.
 type snapState struct {
 	coarseOnce sync.Once
-	// coarse closes when the coarse rung is on disk (or the render
-	// finished without one).
-	coarse chan struct{}
-	// full closes when the render completed; err is set first.
-	full chan struct{}
-	err  error
+	// coarse closes once coarseFile is set, or once the render finished
+	// without a coarse rung.
+	coarse     chan struct{}
+	coarseFile *buildFile
+	// full closes when the render completed; fullFile and err are set
+	// first.
+	full     chan struct{}
+	fullFile *buildFile
+	err      error
 }
 
 func newSnapState() *snapState {
 	return &snapState{coarse: make(chan struct{}), full: make(chan struct{})}
 }
 
-func (st *snapState) closeCoarse() { st.coarseOnce.Do(func() { close(st.coarse) }) }
+// publishCoarse sets the coarse rung and releases its waiters; only the
+// first call counts, so publishCoarse(nil) after a render just closes.
+func (st *snapState) publishCoarse(f *buildFile) {
+	st.coarseOnce.Do(func() {
+		st.coarseFile = f
+		close(st.coarse)
+	})
+}
+
+// setSnapshot records the snapshot a buffered entry just referenced, so
+// the session's asset request serves exactly those bytes.
+func (p *Proxy) setSnapshot(id string, snap *buildFile) {
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	if st := p.snaps[id]; st != nil && st.fullFile == snap {
+		return
+	}
+	st := newSnapState()
+	st.fullFile = snap
+	st.publishCoarse(nil)
+	close(st.full)
+	p.snaps[id] = st
+}
 
 func flushNow(w http.ResponseWriter) {
 	if f, ok := w.(http.Flusher); ok {
@@ -62,14 +84,9 @@ func flushNow(w http.ResponseWriter) {
 // (DRIVESHAFT's argument) tracks the first flush, not the pipeline.
 func (p *Proxy) streamEntry(w http.ResponseWriter, r *http.Request, sess *session.Session, start time.Time) {
 	site := p.cfg.Spec.Name
-	fid := snapshotFidelity(p.cfg.Spec)
-	scale := p.cfg.Spec.Snapshot.Scale
-	if scale <= 0 {
-		scale = 1
-	}
 	ov := attr.Overlay{
-		SnapshotURL: p.prefix + "/asset/snapshot" + fid.Ext(),
-		Scale:       scale,
+		SnapshotURL: p.prefix + "/asset/" + p.snapshotName(),
+		Scale:       p.snapshotScale(),
 		Title:       site,
 	}
 	if p.cfg.SnapshotProgressive {
@@ -92,7 +109,7 @@ func (p *Proxy) streamEntry(w http.ResponseWriter, r *http.Request, sess *sessio
 	flushNow(w)
 	obs.TraceFrom(r.Context()).Annotate("stream", "head_flushed")
 
-	ad, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
+	b, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
 	if err != nil {
 		p.streamAbort(w, r, err)
 		return
@@ -100,13 +117,9 @@ func (p *Proxy) streamEntry(w http.ResponseWriter, r *http.Request, sess *sessio
 
 	// Kick the snapshot render off now: it overlaps with the client
 	// receiving and parsing the map fragments below.
-	p.ensureSnapshotAsync(sess)
+	p.ensureSnapshotAsync(sess.ID, b)
 
-	var subs []*attr.Subpage
-	for _, sub := range ad.subpages {
-		subs = append(subs, sub)
-	}
-	frags = p.applier.BuildOverlayStream(ov, subs, atfHeight)
+	frags = p.applier.BuildOverlayStream(ov, b.ordered, atfHeight)
 	_, _ = w.Write(frags.ATF)
 	_, _ = io.WriteString(w, attr.ATFMarker)
 	flushNow(w)
@@ -132,108 +145,95 @@ func (p *Proxy) streamAbort(w http.ResponseWriter, r *http.Request, err error) {
 	fmt.Fprintf(w, "</map><p>%s</p></body></html>", msg)
 }
 
-// ensureSnapshotAsync starts (or joins) this session's background
-// snapshot render. A completed successful render is reused; a failed
-// one is retried.
-func (p *Proxy) ensureSnapshotAsync(sess *session.Session) *snapState {
+// ensureSnapshotAsync starts (or joins) session id's background
+// snapshot render of build b. A completed successful render is reused; a
+// failed one is retried.
+func (p *Proxy) ensureSnapshotAsync(id string, b *builtAdaptation) {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
-	if st, ok := p.snaps[sess.ID]; ok {
+	if st, ok := p.snaps[id]; ok {
 		select {
 		case <-st.full:
 			if st.err == nil {
-				return st
+				return
 			}
 			// A failed render is retried below.
 		default:
-			return st // in flight
+			return // in flight
 		}
 	}
 	st := newSnapState()
-	p.snaps[sess.ID] = st
-	go p.runSnapshotAsync(sess, st)
-	return st
+	p.snaps[id] = st
+	go p.runSnapshotAsync(b, st)
 }
 
 // runSnapshotAsync executes one background snapshot render. The context
 // is detached deliberately: the render is shared, cached work, and a
 // client disconnecting mid-stream must not abort it for the session's
 // (or, through the shared cache, every session's) next request.
-func (p *Proxy) runSnapshotAsync(sess *session.Session, st *snapState) {
+func (p *Proxy) runSnapshotAsync(b *builtAdaptation, st *snapState) {
 	ctx := context.Background()
 	var err error
 	if p.cfg.SnapshotProgressive {
-		err = p.snapshotProgressive(ctx, sess, st)
+		st.fullFile, err = p.snapshotProgressive(ctx, b, st)
 	} else {
-		_, _, _, _, err = p.snapshot(ctx, sess)
+		st.fullFile, _, _, err = p.snapshot(ctx, b)
 	}
 	st.err = err
-	st.closeCoarse()
+	st.publishCoarse(nil)
 	close(st.full)
 }
 
-// snapshotProgressive renders the session's snapshot as a temporal
-// fidelity ladder: the coarse rung is published (written to the session
-// directory and the shared cache) the moment rasterization finishes,
-// while the full-fidelity encode — byte-identical to the buffered
-// path's — is still running. The full artifact lands in the shared
-// cache under the same key the buffered path uses, so streaming and
-// buffered proxies interoperate across restarts.
-func (p *Proxy) snapshotProgressive(ctx context.Context, sess *session.Session, st *snapState) error {
+// snapshotProgressive renders build b's snapshot as a temporal fidelity
+// ladder: the coarse rung is published (to the session's snapState and
+// the shared cache) the moment rasterization finishes, while the
+// full-fidelity encode — byte-identical to the buffered path's — is
+// still running. The full artifact lands in the shared cache under the
+// same key the buffered path uses, so streaming and buffered proxies
+// interoperate across restarts.
+func (p *Proxy) snapshotProgressive(ctx context.Context, b *builtAdaptation, st *snapState) (*buildFile, error) {
 	fid := snapshotFidelity(p.cfg.Spec)
-	scale := p.cfg.Spec.Snapshot.Scale
-	if scale <= 0 {
-		scale = 1
-	}
 	ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
 	site := p.cfg.Spec.Name
-
-	p.mu.Lock()
-	var snapImages map[string]image.Image
-	if ad, ok := p.adapted[sess.ID]; ok {
-		snapImages = ad.images
+	shared := p.cfg.Spec.Snapshot.Shared && ttl > 0
+	publishCoarse := func(data []byte) {
+		if shared {
+			p.cfg.Cache.Put("snapshot-coarse:"+site, cache.Entry{Data: data, MIME: "image/jpeg"}, ttl)
+		}
+		st.publishCoarse(snapshotRung(coarseSnapshotName, data))
 	}
-	p.mu.Unlock()
 
 	var filled atomic.Bool
 	fill := func() (cache.Entry, error) {
 		filled.Store(true)
 		p.nSnapshotRenders.Add(1)
 		p.obs.Counter("msite_proxy_snapshot_renders_total", "site", site).Inc()
-		src, err := os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
-		if err != nil {
-			return cache.Entry{}, fmt.Errorf("proxy: reading adapted main: %w", err)
+		page := b.file("pages", "main.html")
+		if page == nil {
+			return cache.Entry{}, errNoMainPage
 		}
 		sp := obs.StartSpan(ctx, "layout")
-		doc := tidyDoc(string(src))
-		res := layoutForDoc(doc, p.width)
+		res := layoutForDoc(tidyDoc(string(page.data)), p.width)
 		sp.End()
 		// Raster and coarse encode interleave inside progressive.Render;
 		// one span covers the ladder.
 		sp = obs.StartSpan(ctx, "raster_encode")
 		out, err := progressive.Render(res, progressive.Config{
-			Raster:   raster.Options{Images: snapImages, Workers: p.rasterWork},
+			Raster:   raster.Options{Images: b.images, Workers: p.rasterWork},
 			Fidelity: fid,
-			Scale:    scale,
-			OnCoarse: func(a progressive.Artifact) {
-				if p.cfg.Spec.Snapshot.Shared && ttl > 0 {
-					p.cfg.Cache.Put("snapshot-coarse:"+site,
-						cache.Entry{Data: a.Data, MIME: a.MIME}, ttl)
-				}
-				p.writeCoarse(sess, st, a.Data)
-			},
+			Scale:    p.snapshotScale(),
+			OnCoarse: func(a progressive.Artifact) { publishCoarse(a.Data) },
 		})
 		sp.End()
 		if err != nil {
 			return cache.Entry{}, err
 		}
-		meta := fmt.Sprintf("%d,%d", out.Full.Width, out.Full.Height)
-		return cache.Entry{Data: out.Full.Data, MIME: fid.MIME() + ";" + meta}, nil
+		return snapshotEntry(out.Full.Data, fid, out.Full.Width, out.Full.Height), nil
 	}
 
 	var entry cache.Entry
 	var err error
-	if p.cfg.Spec.Snapshot.Shared && ttl > 0 {
+	if shared {
 		entry, err = p.cfg.Cache.GetOrFill("snapshot:"+site, ttl, fill)
 		if err == nil && !filled.Load() {
 			p.nSnapshotHits.Add(1)
@@ -243,44 +243,19 @@ func (p *Proxy) snapshotProgressive(ctx context.Context, sess *session.Session, 
 		entry, err = fill()
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !filled.Load() {
 		// The full artifact came out of the shared cache, so this
 		// session has no coarse rung yet. Reuse a cached one, or derive
 		// it from the full bytes (cheap relative to a render).
 		if e, ok := p.cfg.Cache.Get("snapshot-coarse:" + site); ok {
-			p.writeCoarse(sess, st, e.Data)
+			st.publishCoarse(snapshotRung(coarseSnapshotName, e.Data))
 		} else if data, derr := coarseFromFull(entry.Data); derr == nil {
-			if p.cfg.Spec.Snapshot.Shared && ttl > 0 {
-				p.cfg.Cache.Put("snapshot-coarse:"+site,
-					cache.Entry{Data: data, MIME: "image/jpeg"}, ttl)
-			}
-			p.writeCoarse(sess, st, data)
+			publishCoarse(data)
 		}
 	}
-	imagesDir, derr := sess.ImageDir()
-	if derr != nil {
-		return derr
-	}
-	name := "snapshot" + fid.Ext()
-	if werr := os.WriteFile(filepath.Join(imagesDir, name), entry.Data, 0o600); werr != nil {
-		return fmt.Errorf("proxy: writing snapshot: %w", werr)
-	}
-	return nil
-}
-
-// writeCoarse lands the coarse rung in the session's image directory
-// and unblocks asset requests waiting on it.
-func (p *Proxy) writeCoarse(sess *session.Session, st *snapState, data []byte) {
-	imagesDir, err := sess.ImageDir()
-	if err != nil {
-		return
-	}
-	if err := os.WriteFile(filepath.Join(imagesDir, coarseSnapshotName), data, 0o600); err != nil {
-		return
-	}
-	st.closeCoarse()
+	return p.snapshotFile(entry.Data), nil
 }
 
 // coarseFromFull derives the coarse rung from an already-encoded full
@@ -297,27 +272,29 @@ func coarseFromFull(full []byte) ([]byte, error) {
 	return data, err
 }
 
-// awaitSnapshotAsset blocks an asset request for a snapshot file the
-// background renderer has not written yet, bounded by the request
-// context. Non-snapshot assets never wait.
-func (p *Proxy) awaitSnapshotAsset(r *http.Request, sess *session.Session, name string) ([]byte, error) {
-	if !strings.HasPrefix(name, "snapshot") {
-		return nil, os.ErrNotExist
-	}
+// awaitSnapshot returns session id's snapshot rung name, waiting for a
+// background render still producing it, bounded by the request
+// context. Nil when the session has no snapshot or the render produced
+// no such rung.
+func (p *Proxy) awaitSnapshot(r *http.Request, id, name string) *buildFile {
 	p.snapMu.Lock()
-	st := p.snaps[sess.ID]
+	st := p.snaps[id]
 	p.snapMu.Unlock()
 	if st == nil {
-		return nil, os.ErrNotExist
+		return nil
 	}
-	ch := st.full
 	if name == coarseSnapshotName {
-		ch = st.coarse
+		select {
+		case <-st.coarse:
+			return st.coarseFile
+		case <-r.Context().Done():
+			return nil
+		}
 	}
 	select {
-	case <-ch:
+	case <-st.full:
+		return st.fullFile
 	case <-r.Context().Done():
-		return nil, r.Context().Err()
+		return nil
 	}
-	return os.ReadFile(p.sessionFile(sess, "images", name))
 }

@@ -1,11 +1,11 @@
 // Package session implements m.Site's multi-session state management
-// (§3.2): each mobile client is issued a session cookie; all files
-// generated during the session live under a protected per-user
-// subdirectory; the proxy keeps a per-user cookie jar so it can fetch
-// authenticated origin content on the client's behalf; and HTTP
-// credentials are stored and replayed per user. This is the piece that
-// lets a single lightweight proxy replace one browser instance per
-// client.
+// (§3.2): each mobile client is issued a session cookie; files
+// generated for the session live under a protected per-user
+// subdirectory, created on first use; the proxy keeps a per-user cookie
+// jar so it can fetch authenticated origin content on the client's
+// behalf; and HTTP credentials are stored and replayed per user. This
+// is the piece that lets a single lightweight proxy replace one browser
+// instance per client.
 package session
 
 import (
@@ -53,7 +53,8 @@ type Session struct {
 	// ID is the random session identifier carried in the cookie.
 	ID string
 	// Dir is the session's protected subdirectory; generated subpages
-	// and per-user images are written beneath it.
+	// and per-user images are written beneath it. It exists only once
+	// SubpageDir or ImageDir has created it.
 	Dir string
 	// Jar holds the origin cookies the proxy presents on the client's
 	// behalf.
@@ -85,7 +86,7 @@ func (s *Session) Personalized() bool {
 }
 
 // SubpageDir returns the directory generated subpages are written to,
-// creating it if needed.
+// creating it (and the session directory, mode 0700) if needed.
 func (s *Session) SubpageDir() (string, error) {
 	return s.ensureDir("pages")
 }
@@ -277,7 +278,9 @@ func (m *Manager) SetLimit(n int) {
 	m.limit = n
 }
 
-// Create makes a fresh session with its own directory and cookie jar.
+// Create makes a fresh session with its own cookie jar. The session's
+// directory is created lazily, by the first SubpageDir or ImageDir
+// call, so sessions that never write files never touch the disk.
 func (m *Manager) Create() (*Session, error) {
 	m.mu.Lock()
 	if m.limit > 0 && len(m.sessions) >= m.limit {
@@ -293,13 +296,9 @@ func (m *Manager) Create() (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: creating cookie jar: %w", err)
 	}
-	dir := filepath.Join(m.root, id)
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("session: creating session dir: %w", err)
-	}
 	s := &Session{
 		ID:       id,
-		Dir:      dir,
+		Dir:      filepath.Join(m.root, id),
 		Jar:      jar,
 		auth:     make(map[string]Credentials),
 		values:   make(map[string]string),
@@ -308,9 +307,8 @@ func (m *Manager) Create() (*Session, error) {
 	m.mu.Lock()
 	if m.limit > 0 && len(m.sessions) >= m.limit {
 		// Re-check under the insert lock: concurrent Creates may have
-		// filled the remaining room while the directory was being made.
+		// filled the remaining room meanwhile.
 		m.mu.Unlock()
-		m.cleanup(id, dir)
 		return nil, ErrTooManySessions
 	}
 	m.sessions[id] = s

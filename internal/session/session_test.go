@@ -52,8 +52,16 @@ func TestCreateAndGet(t *testing.T) {
 	if len(s.ID) != 32 {
 		t.Fatalf("id = %q", s.ID)
 	}
-	if fi, err := os.Stat(s.Dir); err != nil || !fi.IsDir() {
-		t.Fatalf("session dir missing: %v", err)
+	// The directory is lazy: Create leaves no trace on disk, and the
+	// first SubpageDir makes it protected (0700).
+	if _, err := os.Stat(s.Dir); !os.IsNotExist(err) {
+		t.Fatalf("session dir exists after Create: %v", err)
+	}
+	if _, err := s.SubpageDir(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(s.Dir); err != nil || !fi.IsDir() || fi.Mode().Perm() != 0o700 {
+		t.Fatalf("session dir after SubpageDir: %v %v", fi, err)
 	}
 	got, err := m.Get(s.ID)
 	if err != nil || got != s {
@@ -103,6 +111,9 @@ func TestSubdirectories(t *testing.T) {
 func TestExpiryOnGet(t *testing.T) {
 	m, clk := newTestManager(t)
 	s, _ := m.Create()
+	if _, err := s.ImageDir(); err != nil {
+		t.Fatal(err)
+	}
 	clk.Advance(2 * time.Hour)
 	if _, err := m.Get(s.ID); err != ErrNotFound {
 		t.Fatalf("expired get = %v", err)
@@ -126,6 +137,9 @@ func TestTouchExtendsLife(t *testing.T) {
 func TestGC(t *testing.T) {
 	m, clk := newTestManager(t)
 	s1, _ := m.Create()
+	if _, err := s1.SubpageDir(); err != nil {
+		t.Fatal(err)
+	}
 	clk.Advance(30 * time.Minute)
 	s2, _ := m.Create()
 	clk.Advance(45 * time.Minute) // s1 idle 75min > 60, s2 idle 45
