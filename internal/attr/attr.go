@@ -453,9 +453,6 @@ type applyEnv struct {
 	res      *Result
 	subpages map[string]*Subpage
 	rewriter *ajax.Rewriter
-	// mainImage is the original page's raster, rendered lazily the
-	// first time a thumbnail attribute needs pixels to crop.
-	mainImage *image.RGBA
 	// assetSeen tracks emitted asset names: distinct object names can
 	// sanitize to the same file name ("nav bar" vs "nav_bar") and must
 	// not overwrite each other's Asset.
@@ -629,10 +626,10 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 	return nil
 }
 
-// applyThumbnail crops the object's rendered region from the original
-// page raster, scales it down, and swaps the rich-media element for a
-// linked thumbnail image — "thumbnail snapshots of rich media content
-// for resource-constrained devices".
+// applyThumbnail paints the object's rendered region of the original
+// page, scales it down, and swaps the rich-media element for a linked
+// thumbnail image — "thumbnail snapshots of rich media content for
+// resource-constrained devices".
 func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribute,
 	nodes []*dom.Node) error {
 	scale := 0.5
@@ -650,12 +647,12 @@ func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribu
 				fmt.Sprintf("object %q: thumbnail target has no rendered region", obj.Name))
 			continue
 		}
-		if env.mainImage == nil {
-			env.mainImage = raster.Paint(env.res.Layout, raster.Options{Images: a.Images})
-		}
-		cropped := imaging.Crop(env.mainImage, image.Rect(x, y, x+w, y+h))
-		scaled := imaging.ScaleFactor(cropped, scale)
+		region := raster.PaintRect(env.res.Layout, image.Rect(x, y, x+w, y+h), raster.Options{Images: a.Images})
+		scaled := imaging.ScaleFactor(region, scale)
+		raster.Release(region)
 		data, err := imaging.Encode(scaled, fid)
+		tw, th := scaled.Bounds().Dx(), scaled.Bounds().Dy()
+		imaging.PutRGBA(scaled)
 		if err != nil {
 			return fmt.Errorf("attr: object %q: encoding thumbnail: %w", obj.Name, err)
 		}
@@ -678,8 +675,8 @@ func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribu
 		}
 		img := dom.NewElement("img")
 		img.SetAttr("src", a.assetURL(name))
-		img.SetAttr("width", itoa(scaled.Bounds().Dx()))
-		img.SetAttr("height", itoa(scaled.Bounds().Dy()))
+		img.SetAttr("width", itoa(tw))
+		img.SetAttr("height", itoa(th))
 		img.SetAttr("alt", obj.Name+" thumbnail")
 		var repl *dom.Node = img
 		if href != "" {

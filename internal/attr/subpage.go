@@ -46,6 +46,7 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	// "Pre-rendering"), optionally searchable via the word index.
 	img := raster.Paint(res, raster.Options{Images: a.Images})
 	data, err := imaging.Encode(img, sub.Fidelity)
+	raster.Release(img)
 	if err != nil {
 		return fmt.Errorf("attr: pre-rendering subpage %q: %w", sub.Name, err)
 	}
@@ -86,6 +87,7 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 func (a *Applier) finishPartialCSS(sub *Subpage, res *layout.Result, searchable bool, trigger string) error {
 	img := raster.Paint(res, raster.Options{SkipText: true, Images: a.Images})
 	data, err := imaging.Encode(img, sub.Fidelity)
+	raster.Release(img)
 	if err != nil {
 		return fmt.Errorf("attr: partial-css render of %q: %w", sub.Name, err)
 	}

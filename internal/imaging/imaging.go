@@ -75,6 +75,7 @@ func Encode(img image.Image, f Fidelity) ([]byte, error) {
 	case FidelityThumb:
 		b := img.Bounds()
 		thumb := Scale(img, b.Dx()/4, b.Dy()/4)
+		defer PutRGBA(thumb)
 		return EncodeJPEG(thumb, 50)
 	default:
 		return nil, fmt.Errorf("imaging: unknown fidelity %d", f)
@@ -112,7 +113,10 @@ func EncodePNG(img image.Image) ([]byte, error) {
 	}, "png")
 }
 
-// EncodeJPEG encodes img as JPEG at the given quality (1-100).
+// EncodeJPEG encodes img as JPEG at the given quality (1-100). An
+// *image.RGBA, which every rendered frame is, goes through this
+// package's writer with its flat-block shortcut; any other image type
+// goes to image/jpeg. Both produce the same bytes.
 func EncodeJPEG(img image.Image, quality int) ([]byte, error) {
 	if quality < 1 {
 		quality = 1
@@ -121,6 +125,9 @@ func EncodeJPEG(img image.Image, quality int) ([]byte, error) {
 		quality = 100
 	}
 	return encodeWith(func(buf *bytes.Buffer) error {
+		if m, ok := img.(*image.RGBA); ok {
+			return encodeRGBAJPEG(buf, m, quality)
+		}
 		return jpeg.Encode(buf, img, &jpeg.Options{Quality: quality})
 	}, "jpeg")
 }
@@ -151,8 +158,10 @@ func GetRGBA(w, h int) *image.RGBA {
 	if cap(buf) < need {
 		buf = make([]uint8, need)
 	}
+	// Keep the full capacity: a small image drawn from a large recycled
+	// array hands all of it back on PutRGBA. Nothing appends to Pix.
 	return &image.RGBA{
-		Pix:    buf[:need:need],
+		Pix:    buf[:need],
 		Stride: 4 * w,
 		Rect:   image.Rect(0, 0, w, h),
 	}
@@ -179,14 +188,13 @@ func Decode(data []byte) (image.Image, error) {
 
 // Scale resizes img to w x h using box sampling for minification and
 // bilinear interpolation for magnification. Dimensions are clamped to 1.
+// The result's backing array may come from the pixel pool; a caller
+// done with it can hand it back with PutRGBA.
 func Scale(img image.Image, w, h int) *image.RGBA {
-	if w < 1 {
-		w = 1
+	out := GetRGBA(w, h)
+	if img.Bounds().Empty() {
+		clear(out.Pix) // ScaleInto writes nothing for an empty source
 	}
-	if h < 1 {
-		h = 1
-	}
-	out := image.NewRGBA(image.Rect(0, 0, w, h))
 	ScaleInto(out, img)
 	return out
 }
@@ -231,37 +239,68 @@ func ScaleFactor(img image.Image, factor float64) *image.RGBA {
 func boxScale(out *image.RGBA, img image.Image, w, h int) {
 	src := img.Bounds()
 	sw, sh := src.Dx(), src.Dy()
+	rgba, _ := img.(*image.RGBA)
 	for dy := 0; dy < h; dy++ {
 		sy0 := src.Min.Y + dy*sh/h
 		sy1 := src.Min.Y + (dy+1)*sh/h
 		if sy1 <= sy0 {
 			sy1 = sy0 + 1
 		}
+		row := out.Pix[dy*out.Stride:]
 		for dx := 0; dx < w; dx++ {
 			sx0 := src.Min.X + dx*sw/w
 			sx1 := src.Min.X + (dx+1)*sw/w
 			if sx1 <= sx0 {
 				sx1 = sx0 + 1
 			}
-			var rs, gs, bs, as, n uint64
-			for sy := sy0; sy < sy1; sy++ {
-				for sx := sx0; sx < sx1; sx++ {
-					r, g, b, a := img.At(sx, sy).RGBA()
-					rs += uint64(r)
-					gs += uint64(g)
-					bs += uint64(b)
-					as += uint64(a)
-					n++
-				}
+			var s [4]uint64
+			if rgba != nil {
+				s = boxSumRGBA(rgba, sx0, sy0, sx1, sy1)
+			} else {
+				s = boxSum(img, sx0, sy0, sx1, sy1)
 			}
-			out.SetRGBA(dx, dy, color.RGBA{
-				R: uint8(rs / n >> 8),
-				G: uint8(gs / n >> 8),
-				B: uint8(bs / n >> 8),
-				A: uint8(as / n >> 8),
-			})
+			n := uint64((sx1 - sx0) * (sy1 - sy0))
+			px := row[4*dx : 4*dx+4 : 4*dx+4]
+			for c := range px {
+				px[c] = uint8(s[c] / n >> 8)
+			}
 		}
 	}
+}
+
+// boxSum adds the 16-bit channels of every pixel in [x0,x1)×[y0,y1).
+func boxSum(img image.Image, x0, y0, x1, y1 int) [4]uint64 {
+	var s [4]uint64
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; x++ {
+			r, g, b, a := img.At(x, y).RGBA()
+			s[0] += uint64(r)
+			s[1] += uint64(g)
+			s[2] += uint64(b)
+			s[3] += uint64(a)
+		}
+	}
+	return s
+}
+
+// boxSumRGBA is boxSum read straight from Pix: color.RGBA widens each
+// 8-bit channel v to v*0x101, so the sums are the same.
+func boxSumRGBA(m *image.RGBA, x0, y0, x1, y1 int) [4]uint64 {
+	var s [4]uint64
+	for y := y0; y < y1; y++ {
+		off := m.PixOffset(x0, y)
+		row := m.Pix[off : off+4*(x1-x0)]
+		for i := 0; i < len(row); i += 4 {
+			s[0] += uint64(row[i])
+			s[1] += uint64(row[i+1])
+			s[2] += uint64(row[i+2])
+			s[3] += uint64(row[i+3])
+		}
+	}
+	for c := range s {
+		s[c] *= 0x101
+	}
+	return s
 }
 
 func bilinearScale(out *image.RGBA, img image.Image, w, h int) {

@@ -1350,12 +1350,15 @@ func (p *Proxy) renderSnapshot(ctx context.Context, b *builtAdaptation) (cache.E
 	sp.End()
 	sp = obs.StartSpan(ctx, "encode")
 	scaled := imaging.ScaleFactor(img, p.snapshotScale())
+	raster.Release(img)
 	encoded, err := imaging.Encode(scaled, fid)
+	w, h := scaled.Bounds().Dx(), scaled.Bounds().Dy()
+	imaging.PutRGBA(scaled)
 	sp.End()
 	if err != nil {
 		return cache.Entry{}, err
 	}
-	return snapshotEntry(encoded, fid, scaled.Bounds().Dx(), scaled.Bounds().Dy()), nil
+	return snapshotEntry(encoded, fid, w, h), nil
 }
 
 // snapshotEntry is the shared-cache form of an encoded snapshot, its

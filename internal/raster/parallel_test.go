@@ -10,6 +10,7 @@ import (
 
 	"msite/internal/css"
 	"msite/internal/html"
+	"msite/internal/imaging"
 	"msite/internal/layout"
 )
 
@@ -135,4 +136,37 @@ func firstPixelDiff(a, b *image.RGBA) image.Point {
 		}
 	}
 	return image.Pt(-1, -1)
+}
+
+// TestPaintRectMatchesCroppedPaint holds the thumbnail path to its
+// reference: painting only a rectangle must give the bytes of cropping
+// that rectangle out of the whole frame, with and without antialias
+// jitter, at every worker count, for rectangles inside, straddling and
+// outside the frame.
+func TestPaintRectMatchesCroppedPaint(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 8; trial++ {
+		res, images := layoutRandomPage(t, rng)
+		for _, antialias := range []bool{false, true} {
+			opts := Options{Images: images, Antialias: antialias, MinHeight: 64}
+			full := Paint(res, opts)
+			fb := full.Bounds()
+			for i := 0; i < 6; i++ {
+				x0, y0 := rng.Intn(fb.Dx()+40)-20, rng.Intn(fb.Dy()+40)-20
+				r := image.Rect(x0, y0, x0+rng.Intn(fb.Dx()/2+1), y0+rng.Intn(fb.Dy()/2+1))
+				want := imaging.Crop(full, r)
+				for _, workers := range []int{1, 2, 16} {
+					o := opts
+					o.Workers = workers
+					got := PaintRect(res, r, o)
+					if got.Rect != want.Rect || !bytes.Equal(got.Pix, want.Pix) {
+						t.Fatalf("trial %d antialias %v workers %d: rect %v of %v differs (got %v)",
+							trial, antialias, workers, r, fb, got.Rect)
+					}
+					Release(got)
+				}
+			}
+			Release(full)
+		}
+	}
 }

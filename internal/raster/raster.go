@@ -7,7 +7,6 @@ package raster
 import (
 	"image"
 	"image/color"
-	"image/draw"
 	"runtime"
 	"sync"
 
@@ -52,7 +51,23 @@ type Options struct {
 // backing array may come from a recycled pool; callers that are done
 // with the image can hand it back with Release.
 func Paint(res *layout.Result, opts Options) *image.RGBA {
-	img := newFrame(res, opts)
+	return PaintRect(res, canvas(res, opts), opts)
+}
+
+// PaintRect rasterizes only the part of the page inside r. The result
+// is byte-identical to Crop(Paint(res, opts), r): a zero-anchored image
+// of r clipped to the canvas. It paints through the same clipped views
+// the bands use, so the rest of the page costs only the box-tree walk.
+// Release recycles the result like a Paint frame.
+func PaintRect(res *layout.Result, r image.Rectangle, opts Options) *image.RGBA {
+	r = r.Intersect(canvas(res, opts))
+	if r.Empty() {
+		return image.NewRGBA(image.Rectangle{})
+	}
+	img := newFrame(res, opts, r)
+	// The same pixels addressed in canvas coordinates, so every paint
+	// primitive clips to r.
+	view := &image.RGBA{Pix: img.Pix, Stride: img.Stride, Rect: r}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -62,46 +77,46 @@ func Paint(res *layout.Result, opts Options) *image.RGBA {
 		// spanning several bands must not re-run the (expensive) scale
 		// per band, and the shared read-only map keeps bands
 		// independent.
-		scaled := prescaleImages(res.Root, opts, nil)
-		forEachBand(img, workers, func(view *image.RGBA) {
-			paintBox(view, res.Root, opts, scaled)
+		scaled := prescaleImages(res.Root, opts, r, nil)
+		forEachBand(view, workers, func(band *image.RGBA) {
+			paintBox(band, res.Root, opts, scaled)
 		})
 		releaseScaled(scaled)
 	}
 	if opts.Antialias {
-		forEachBand(img, workers, applyAntialiasJitter)
+		forEachBand(view, workers, applyAntialiasJitter)
 	}
 	return img
 }
 
-// newFrame allocates the framebuffer (from the shared pixel pool) and
-// fills it edge-to-edge with the page background, so the pooled
-// memory's stale contents never show through.
-func newFrame(res *layout.Result, opts Options) *image.RGBA {
+// newFrame allocates a zero-anchored framebuffer the size of r (from
+// the shared pixel pool) and fills it edge-to-edge with the page
+// background, so the pooled memory's stale contents never show through.
+func newFrame(res *layout.Result, opts Options, r image.Rectangle) *image.RGBA {
+	img := imaging.GetRGBA(r.Dx(), r.Dy())
+	fillRect(img, 0, 0, r.Dx(), r.Dy(), frameBackground(res, opts))
+	return img
+}
+
+// canvas is the rectangle a layout paints onto: the layout's extent,
+// padded to MinHeight, at least one pixel each way.
+func canvas(res *layout.Result, opts Options) image.Rectangle {
+	return image.Rect(0, 0, max(res.Width, 1), max(res.Height, opts.MinHeight, 1))
+}
+
+// frameBackground is the page background: the root box's own colour
+// when it sets one, else Options.Background, else white.
+func frameBackground(res *layout.Result, opts Options) color.RGBA {
 	bg := opts.Background
 	if bg.A == 0 {
 		bg = color.RGBA{255, 255, 255, 255}
 	}
-	// Respect an explicit body background if painted box has one.
 	if res.Root != nil {
 		if c, ok := css.ParseColor(res.Root.Style.Get("background-color", "")); ok && c.A > 0 {
 			bg = c
 		}
 	}
-	h := res.Height
-	if h < opts.MinHeight {
-		h = opts.MinHeight
-	}
-	if h < 1 {
-		h = 1
-	}
-	w := res.Width
-	if w < 1 {
-		w = 1
-	}
-	img := imaging.GetRGBA(w, h)
-	draw.Draw(img, img.Bounds(), &image.Uniform{C: bg}, image.Point{}, draw.Src)
-	return img
+	return bg
 }
 
 // Release recycles a frame returned by Paint or StreamPaint once the
@@ -149,19 +164,25 @@ func forEachBand(img *image.RGBA, workers int, paint func(view *image.RGBA)) {
 // a couple of counts per channel — invisible to the eye, but it restores
 // the entropy an antialiased rendering carries so the PNG/JPEG fidelity
 // ladder matches real screenshot behaviour. The generator is seeded per
-// row, so any horizontal banding produces identical bytes.
+// row and runs from the frame's column 0 whatever the view's left edge,
+// so any horizontal banding or clipped rectangle produces identical
+// bytes.
 func applyAntialiasJitter(img *image.RGBA) {
 	b := img.Bounds()
 	for y := b.Min.Y; y < b.Max.Y; y++ {
 		state := uint32(0x9e3779b9) ^ (uint32(y)*2654435761 + 1)
 		row := img.Pix[img.PixOffset(b.Min.X, y):img.PixOffset(b.Max.X, y)]
-		for i := 0; i+3 < len(row); i += 4 {
+		for x := 0; x < b.Max.X; x++ {
 			state = state*1664525 + 1013904223
 			if state>>24 > 33 { // ~13% of pixels
 				continue
 			}
+			i := 4 * (x - b.Min.X)
 			for ch := 0; ch < 3; ch++ {
 				state = state*1664525 + 1013904223
+				if i < 0 {
+					continue
+				}
 				delta := int(state>>30) - 1 // -1, 0, 1, 2
 				v := int(row[i+ch]) + delta
 				if v < 0 {
@@ -176,14 +197,15 @@ func applyAntialiasJitter(img *image.RGBA) {
 	}
 }
 
-// prescaleImages walks the box tree scaling every replaced element's
-// decoded image to its box size, keyed by box. The returned map is
-// read-only during painting, shared by every band worker.
-func prescaleImages(b *layout.Box, opts Options, out map[*layout.Box]*image.RGBA) map[*layout.Box]*image.RGBA {
+// prescaleImages walks the box tree scaling the decoded image of every
+// replaced element that paints inside clip to its box size, keyed by
+// box. The returned map is read-only during painting, shared by every
+// band worker.
+func prescaleImages(b *layout.Box, opts Options, clip image.Rectangle, out map[*layout.Box]*image.RGBA) map[*layout.Box]*image.RGBA {
 	if len(opts.Images) == 0 {
 		return nil
 	}
-	if b.Node != nil && b.Node.Type == dom.ElementNode && isReplaced(b.Node.Tag) {
+	if b.Node != nil && b.Node.Type == dom.ElementNode && isReplaced(b.Node.Tag) && boxIntersects(b, clip) {
 		if src, ok := b.Node.Attr("src"); ok && src != "" {
 			if decoded, ok := opts.Images[src]; ok {
 				w, h := int(b.W), int(b.H)
@@ -201,7 +223,7 @@ func prescaleImages(b *layout.Box, opts Options, out map[*layout.Box]*image.RGBA
 		}
 	}
 	for _, c := range b.Children {
-		out = prescaleImages(c, opts, out)
+		out = prescaleImages(c, opts, clip, out)
 	}
 	return out
 }
@@ -410,14 +432,23 @@ func drawGlyph(img *image.RGBA, glyph [5]byte, x, y, scale float64, c color.RGBA
 	}
 }
 
+// fillRect paints the part of the rectangle inside img's bounds: it
+// writes the first row, then copies that row into the rest.
 func fillRect(img *image.RGBA, x, y, w, h int, c color.RGBA) {
 	bounds := img.Bounds()
 	x0, y0 := max(x, bounds.Min.X), max(y, bounds.Min.Y)
 	x1, y1 := min(x+w, bounds.Max.X), min(y+h, bounds.Max.Y)
-	for py := y0; py < y1; py++ {
-		for px := x0; px < x1; px++ {
-			img.SetRGBA(px, py, c)
-		}
+	if x0 >= x1 || y0 >= y1 {
+		return
+	}
+	off := img.PixOffset(x0, y0)
+	first := img.Pix[off : off+4*(x1-x0)]
+	for i := 0; i < len(first); i += 4 {
+		first[i], first[i+1], first[i+2], first[i+3] = c.R, c.G, c.B, c.A
+	}
+	for py := y0 + 1; py < y1; py++ {
+		off += img.Stride
+		copy(img.Pix[off:off+len(first)], first)
 	}
 }
 

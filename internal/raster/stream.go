@@ -30,7 +30,7 @@ func StreamPaint(res *layout.Result, opts Options, onBand BandFunc) *image.RGBA 
 	if onBand == nil {
 		return Paint(res, opts)
 	}
-	img := newFrame(res, opts)
+	img := newFrame(res, opts, canvas(res, opts))
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -45,7 +45,7 @@ func StreamPaint(res *layout.Result, opts Options, onBand BandFunc) *image.RGBA 
 
 	var scaled map[*layout.Box]*image.RGBA
 	if res.Root != nil {
-		scaled = prescaleImages(res.Root, opts, nil)
+		scaled = prescaleImages(res.Root, opts, b, nil)
 	}
 
 	// The same row partition as forEachBand: band i covers rows
