@@ -412,7 +412,7 @@ func (s *Selector) Match(n *dom.Node) bool {
 }
 
 func (s *Selector) matchFrom(idx int, n *dom.Node) bool {
-	if !matchCompound(s.parts[idx], n) {
+	if !matchCompound(&s.parts[idx], n) {
 		return false
 	}
 	if idx == len(s.parts)-1 {
@@ -446,7 +446,7 @@ func (s *Selector) matchFrom(idx int, n *dom.Node) bool {
 	return false
 }
 
-func matchCompound(c compound, n *dom.Node) bool {
+func matchCompound(c *compound, n *dom.Node) bool {
 	if n == nil || n.Type != dom.ElementNode {
 		return false
 	}

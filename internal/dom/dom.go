@@ -11,6 +11,8 @@ package dom
 import (
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // NodeType identifies the kind of a Node.
@@ -153,14 +155,31 @@ func (n *Node) Classes() []string {
 	return strings.Fields(n.AttrOr("class", ""))
 }
 
-// HasClass reports whether the element's class list contains c.
+// HasClass reports whether the element's class list contains c. It
+// splits the attribute where strings.Fields does (unicode.IsSpace) but
+// compares each class in place, without allocating the list.
 func (n *Node) HasClass(c string) bool {
-	for _, have := range n.Classes() {
-		if have == c {
-			return true
-		}
+	s := n.AttrOr("class", "")
+	if c == "" || !strings.Contains(s, c) {
+		return false
 	}
-	return false
+	start := -1 // byte offset of the class being scanned, or -1 in a space run
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 && s[start:i] == c {
+				return true
+			}
+			start = -1
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	return start >= 0 && s[start:] == c
 }
 
 // AddClass appends c to the element's class list if not already present.

@@ -1,6 +1,8 @@
 package dom
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,6 +257,41 @@ func TestClassHelpers(t *testing.T) {
 	e.RemoveClass("b")
 	if e.HasAttr("class") {
 		t.Fatal("empty class attr should be deleted")
+	}
+}
+
+// TestHasClassMatchesFields holds HasClass to a lookup in
+// strings.Fields over random class strings mixing ASCII and Unicode
+// spaces, multi-byte letters and invalid UTF-8.
+func TestHasClassMatchesFields(t *testing.T) {
+	pieces := []string{
+		"a", "b", "ab", "é", "x-y", " ", "\t", "\n", "\v", "\f", "\r",
+		"\u0085", "\u00a0", "\u1680", "\u2003", "\u2028", "\u3000", "\u200b",
+		"\xc2", "\x85", "\xa0", "\xe2\x80",
+	}
+	rng := rand.New(rand.NewSource(1))
+	word := func(max int) string {
+		var b strings.Builder
+		for n := rng.Intn(max + 1); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	e := NewElement("div")
+	for i := 0; i < 20000; i++ {
+		class, c := word(8), word(3)
+		if i%2 == 0 {
+			if fields := strings.Fields(class); len(fields) > 0 {
+				c = fields[rng.Intn(len(fields))]
+			}
+		}
+		e.SetAttr("class", class)
+		if got, want := e.HasClass(c), slices.Contains(strings.Fields(class), c); got != want {
+			t.Fatalf("HasClass(%q) on class %q = %v, strings.Fields says %v", c, class, got, want)
+		}
+	}
+	if testing.AllocsPerRun(100, func() { e.HasClass("a") }) != 0 {
+		t.Fatal("HasClass allocates")
 	}
 }
 

@@ -611,15 +611,30 @@ func (f *Fetcher) InlineStylesheets(doc *dom.Node, base string) (int, error) {
 // InlineStylesheetsContext is InlineStylesheets bound to a caller
 // deadline/cancellation (the sheet downloads abort when ctx ends).
 func (f *Fetcher) InlineStylesheetsContext(ctx context.Context, doc *dom.Node, base string) (int, error) {
+	sheets, err := FindStylesheets(doc, base)
+	if err != nil {
+		return 0, err
+	}
+	return sheets.Inline(f.FetchAllContext(ctx, sheets.URLs, 0)), nil
+}
+
+// Stylesheets are the <link rel="stylesheet"> elements of a document
+// and the absolute URLs of their sheets. Finding them apart from the
+// download lets a caller fetch the sheets in one batch with the page's
+// other subresources.
+type Stylesheets struct {
+	URLs  []string
+	links []*dom.Node
+}
+
+// FindStylesheets collects doc's stylesheet links, resolving each href
+// against base. Links with no href or an unparsable one are skipped.
+func FindStylesheets(doc *dom.Node, base string) (Stylesheets, error) {
 	baseURL, err := url.Parse(base)
 	if err != nil {
-		return 0, fmt.Errorf("fetch: bad base URL %q: %w", base, err)
+		return Stylesheets{}, fmt.Errorf("fetch: bad base URL %q: %w", base, err)
 	}
-	// Discover every sheet first, download them concurrently, then
-	// mutate the DOM serially (dom.Node is not safe for concurrent
-	// modification).
-	var links []*dom.Node
-	var sheetURLs []string
+	var s Stylesheets
 	for _, link := range doc.Elements("link") {
 		rel := strings.ToLower(link.AttrOr("rel", ""))
 		if !strings.Contains(rel, "stylesheet") {
@@ -633,27 +648,34 @@ func (f *Fetcher) InlineStylesheetsContext(ctx context.Context, doc *dom.Node, b
 		if err != nil {
 			continue
 		}
-		links = append(links, link)
-		sheetURLs = append(sheetURLs, abs.String())
+		s.links = append(s.links, link)
+		s.URLs = append(s.URLs, abs.String())
 	}
+	return s, nil
+}
+
+// Inline replaces each link whose download succeeded with a <style>
+// element holding the sheet; results[i] is the download of URLs[i].
+// Failed sheets degrade: their links stay. It mutates the DOM, so it runs
+// on one goroutine after the downloads. Returns how many were inlined.
+func (s Stylesheets) Inline(results []Result) int {
 	inlined := 0
-	for i, res := range f.FetchAllContext(ctx, sheetURLs, 0) {
-		link := links[i]
+	for i, res := range results {
 		if res.Err != nil {
-			continue // degrade: keep the link
+			continue
 		}
-		page := res.Page
+		link := s.links[i]
 		style := dom.NewElement("style")
 		style.SetAttr("type", "text/css")
 		style.SetAttr("data-msite", "inlined-css")
 		if media := link.AttrOr("media", ""); media != "" {
 			style.SetAttr("media", media)
 		}
-		style.AppendChild(dom.NewText(string(page.Body)))
+		style.AppendChild(dom.NewText(string(res.Page.Body)))
 		link.ReplaceWith(style)
 		inlined++
 	}
-	return inlined, nil
+	return inlined
 }
 
 // ErrNoSession is returned by helpers that need a session-bound fetcher.

@@ -115,8 +115,9 @@ func EncodePNG(img image.Image) ([]byte, error) {
 
 // EncodeJPEG encodes img as JPEG at the given quality (1-100). An
 // *image.RGBA, which every rendered frame is, goes through this
-// package's writer with its flat-block shortcut; any other image type
-// goes to image/jpeg. Both produce the same bytes.
+// package's writer (jpeg.go), which codes a tall frame in strips on
+// every core; any other image type goes to image/jpeg. Both produce the
+// same bytes.
 func EncodeJPEG(img image.Image, quality int) ([]byte, error) {
 	if quality < 1 {
 		quality = 1
@@ -124,10 +125,14 @@ func EncodeJPEG(img image.Image, quality int) ([]byte, error) {
 	if quality > 100 {
 		quality = 100
 	}
-	return encodeWith(func(buf *bytes.Buffer) error {
-		if m, ok := img.(*image.RGBA); ok {
-			return encodeRGBAJPEG(buf, m, quality)
+	if m, ok := img.(*image.RGBA); ok {
+		out, err := encodeRGBAJPEG(m, quality, stripCount((m.Rect.Dy()+15)/16))
+		if err != nil {
+			return nil, fmt.Errorf("imaging: encoding jpeg: %w", err)
 		}
+		return out, nil
+	}
+	return encodeWith(func(buf *bytes.Buffer) error {
 		return jpeg.Encode(buf, img, &jpeg.Options{Quality: quality})
 	}, "jpeg")
 }

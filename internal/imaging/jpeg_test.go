@@ -6,6 +6,8 @@ import (
 	"image/color"
 	"image/jpeg"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -48,50 +50,145 @@ func stdlibJPEG(t testing.TB, img image.Image, quality int) []byte {
 	return buf.Bytes()
 }
 
-// FuzzEncodeJPEG holds EncodeJPEG's *image.RGBA writer to image/jpeg's
-// output byte for byte, over sizes that are and are not multiples of
-// 16, non-zero SubImage origins, mixes of flat and noisy tiles, and
-// every quality.
+// FuzzEncodeJPEG holds the *image.RGBA writer to image/jpeg's output
+// byte for byte, over sizes that are and are not multiples of 16 (empty
+// ones too), non-zero SubImage origins, mixes of flat and noisy tiles, every
+// quality, and every way of cutting the frame into strips of MCU rows.
 func FuzzEncodeJPEG(f *testing.F) {
 	for _, s := range []struct {
 		w, h, ox, oy, tile uint8
 		mask               uint64
 		quality            uint8
 		vary               bool
+		strips             uint8
 	}{
-		{1, 1, 0, 0, 8, 1, 40, false},
-		{16, 16, 0, 0, 16, 1, 40, false},
-		{64, 48, 0, 0, 16, 0xffff_ffff_ffff_ffff, 1, false},
-		{64, 48, 0, 0, 16, 0xffff_ffff_ffff_ffff, 100, false},
-		{47, 33, 5, 3, 16, 0xaaaa_5555_aaaa_5555, 40, false},
-		{100, 70, 9, 17, 8, 0x0f0f_f0f0_0f0f_f0f0, 50, false},
-		{96, 96, 0, 0, 24, 0x1234_5678_9abc_def0, 75, false},
-		{31, 129, 1, 0, 4, 0xdead_beef_cafe_f00d, 100, false},
-		{80, 80, 16, 16, 16, 0x7fff_ffff_ffff_fffe, 40, true},
-		{255, 17, 0, 200, 32, 0x5, 1, false},
-		{128, 64, 3, 3, 16, 0, 75, false},
+		{0, 0, 0, 0, 8, 1, 40, false, 0},
+		{0, 40, 3, 5, 8, 1, 40, false, 1},
+		{1, 1, 0, 0, 8, 1, 40, false, 0},
+		{16, 16, 0, 0, 16, 1, 40, false, 0},
+		{64, 48, 0, 0, 16, 0xffff_ffff_ffff_ffff, 1, false, 2},
+		{64, 48, 0, 0, 16, 0xffff_ffff_ffff_ffff, 100, false, 1},
+		{47, 33, 5, 3, 16, 0xaaaa_5555_aaaa_5555, 40, false, 1},
+		{100, 70, 9, 17, 8, 0x0f0f_f0f0_0f0f_f0f0, 50, false, 3},
+		{96, 96, 0, 0, 24, 0x1234_5678_9abc_def0, 75, false, 5},
+		{31, 129, 1, 0, 4, 0xdead_beef_cafe_f00d, 100, false, 3},
+		{80, 80, 16, 16, 16, 0x7fff_ffff_ffff_fffe, 40, true, 4},
+		{255, 17, 0, 200, 32, 0x5, 1, false, 1},
+		{128, 64, 3, 3, 16, 0, 75, false, 0},
+		{255, 255, 0, 0, 16, 0xffff_0000_ffff_0000, 40, false, 15},
 	} {
-		f.Add(s.w, s.h, s.ox, s.oy, s.tile, s.mask, int64(s.w)*int64(s.h), s.quality, s.vary)
+		f.Add(s.w, s.h, s.ox, s.oy, s.tile, s.mask, int64(s.w)*int64(s.h), s.quality, s.vary, s.strips)
 	}
-	f.Fuzz(func(t *testing.T, w, h, ox, oy, tile uint8, mask uint64, seed int64, quality uint8, vary bool) {
-		if w == 0 || h == 0 {
-			return
+	// Ten MCU rows in 2 to 10 strips (so rows%strips takes every value
+	// from 0 to 4), with the last row 1 to 16 pixels tall and the view
+	// at a different origin each time.
+	for rem := uint8(0); rem < 16; rem++ {
+		h := 144 + rem
+		if rem == 0 {
+			h = 160
 		}
+		f.Add(40+3*rem, h, rem, 3*rem, 8+rem, uint64(0x9e37_79b9_7f4a_7c15)*uint64(rem+1), int64(rem), 40+rem, rem%3 == 0, 1+rem%9)
+	}
+	f.Fuzz(func(t *testing.T, w, h, ox, oy, tile uint8, mask uint64, seed int64, quality uint8, vary bool, strips uint8) {
 		ts := int(tile) % 41
 		if ts == 0 {
 			ts = 16
 		}
 		img := tiled(int(w), int(h), int(ox), int(oy), ts, mask, seed, vary)
 		q := 1 + (int(quality)+99)%100 // 1..100, and 1 and 100 map to themselves
-		got, err := EncodeJPEG(img, q)
+		n := 1 + int(strips)%max(1, (int(h)+15)/16)
+		got, err := encodeRGBAJPEG(img, q, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := stdlibJPEG(t, img, q); !bytes.Equal(got, want) {
-			t.Fatalf("%dx%d at (%d,%d) tile %d q%d: %d bytes, image/jpeg wrote %d",
-				w, h, ox, oy, ts, q, len(got), len(want))
+			t.Fatalf("%dx%d at (%d,%d) tile %d q%d in %d strips: %d bytes, image/jpeg wrote %d",
+				w, h, ox, oy, ts, q, n, len(got), len(want))
 		}
 	})
+}
+
+// TestEncodeJPEGConcurrent runs encodes of two frames, one cut into
+// strips and one not, from parallel callers: each must get image/jpeg's
+// bytes. Under -race it also shows that strips share nothing writable.
+func TestEncodeJPEGConcurrent(t *testing.T) {
+	tall := tiled(300, 16*40+5, 3, 7, 16, 0x5555_aaaa_0f0f_f0f0, 1, false)
+	small := tiled(120, 90, 1, 2, 8, 0x0f0f_f0f0_0f0f_f0f0, 2, true)
+	wantTall, wantSmall := stdlibJPEG(t, tall, 40), stdlibJPEG(t, small, 75)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				for _, c := range []struct {
+					img  *image.RGBA
+					q    int
+					want []byte
+				}{{tall, 40, wantTall}, {small, 75, wantSmall}} {
+					got, err := EncodeJPEG(c.img, c.q)
+					if err != nil || !bytes.Equal(got, c.want) {
+						t.Errorf("EncodeJPEG of %v: %d bytes (err %v), want %d", c.img.Rect, len(got), err, len(c.want))
+					}
+					got, err = encodeRGBAJPEG(c.img, c.q, 4)
+					if err != nil || !bytes.Equal(got, c.want) {
+						t.Errorf("4 strips of %v: %d bytes (err %v), want %d", c.img.Rect, len(got), err, len(c.want))
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestStripCount pins how frames are cut: one strip per core, each of at
+// least minStripRows MCU rows, so the 17-row snapshot stays whole and the
+// 162-row forums prerender gets a strip per core.
+func TestStripCount(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ rows, want int }{
+		{0, 1}, {1, 1}, {17, 1}, {2*minStripRows - 1, 1},
+		{2 * minStripRows, min(procs, 2)}, {162, min(procs, 162/minStripRows)},
+	} {
+		if got := stripCount(c.rows); got != c.want {
+			t.Errorf("stripCount(%d) = %d at GOMAXPROCS %d, want %d", c.rows, got, procs, c.want)
+		}
+	}
+}
+
+// div is image/jpeg's quantiser: a/b rounded to the nearest integer,
+// halves away from zero.
+func div(a, b int32) int32 {
+	if a >= 0 {
+		return (a + (b >> 1)) / b
+	}
+	return -((-a + (b >> 1)) / b)
+}
+
+// TestQuantiseMatchesDiv checks the reciprocal quantiser against div
+// for every divisor up to 8*255 and every input of magnitude below 2^15.
+func TestQuantiseMatchesDiv(t *testing.T) {
+	for d := uint64(1); d <= 8*255; d++ {
+		recip, half := (1<<32+d-1)/d, d>>1
+		for a := int32(-1<<15 + 1); a < 1<<15; a++ {
+			if got, want := quantise(a, recip, half), div(a, int32(d)); got != want {
+				t.Fatalf("quantise(%d) by %d = %d, div = %d", a, d, got, want)
+			}
+		}
+	}
+}
+
+// TestYCbCrMatchesColor checks the inlined conversion against
+// color.RGBToYCbCr for every 24-bit colour.
+func TestYCbCrMatchesColor(t *testing.T) {
+	for c := 0; c < 1<<24; c++ {
+		r, g, b := uint8(c>>16), uint8(c>>8), uint8(c)
+		y, cb, cr := ycbcr(int32(r), int32(g), int32(b))
+		wy, wcb, wcr := color.RGBToYCbCr(r, g, b)
+		if y != int32(wy) || cb != int32(wcb) || cr != int32(wcr) {
+			t.Fatalf("ycbcr(%d, %d, %d) = %d, %d, %d; color.RGBToYCbCr = %d, %d, %d", r, g, b, y, cb, cr, wy, wcb, wcr)
+		}
+	}
 }
 
 // TestFlatBlockTransform checks the fact the shortcut rests on: a block

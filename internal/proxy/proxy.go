@@ -24,6 +24,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -927,17 +928,21 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*builtAd
 		degraded = append(degraded, p.degrade(ctx, "filter", err))
 	}
 
-	// Inline the origin's linked stylesheets so the attribute phase and
-	// every render below see the site's real styling, then download the
-	// images a render would need (§3.2: the page fetch "includes
-	// downloading any images to be rendered"), then run the attribute
-	// phase over the tidied DOM.
+	// Download the origin's linked stylesheets and the images a render
+	// would need (§3.2: the page fetch "includes downloading any images
+	// to be rendered") in one batch, so they cost one origin round, not
+	// two. Then inline the sheets, so the attribute phase and every
+	// render below see the site's real styling, and decode the images.
 	sp = obs.StartSpan(ctx, "subres")
 	doc := tidyDoc(src)
-	if _, err := f.InlineStylesheetsContext(ctx, doc, page.URL); err != nil {
+	sheets, err := fetch.FindStylesheets(doc, page.URL)
+	if err != nil {
 		degraded = append(degraded, p.degrade(ctx, "stylesheets", err))
 	}
-	images := fetchImages(ctx, f, doc, page.URL)
+	imgs := findImages(doc, page.URL)
+	results := f.FetchAllContext(ctx, append(slices.Clip(sheets.URLs), imgs.urls...), 0)
+	sheets.Inline(results[:len(sheets.URLs)])
+	images := imgs.decode(results[len(sheets.URLs):])
 	sp.End()
 	// Cancellation is not a stage failure: subresources cut short because
 	// every requester went away would make a degraded build that

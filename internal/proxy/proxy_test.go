@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,8 +100,14 @@ type testRig struct {
 
 func newRig(t *testing.T, mutate func(*spec.Spec)) *testRig {
 	t.Helper()
-	forum := origin.NewForum(origin.DefaultForumConfig())
-	originSrv := httptest.NewServer(forum.Handler())
+	return newRigOver(t, origin.NewForum(origin.DefaultForumConfig()).Handler(), mutate)
+}
+
+// newRigOver is newRig with the forum spec pointed at handler as the
+// origin.
+func newRigOver(t *testing.T, handler http.Handler, mutate func(*spec.Spec)) *testRig {
+	t.Helper()
+	originSrv := httptest.NewServer(handler)
 	t.Cleanup(originSrv.Close)
 
 	sp := forumSpec(originSrv.URL)
@@ -539,5 +547,44 @@ func TestServeStaleOnOriginFailure(t *testing.T) {
 	_ = fresh.Body.Close()
 	if fresh.StatusCode != http.StatusBadGateway {
 		t.Fatalf("cold status = %d", fresh.StatusCode)
+	}
+}
+
+// TestSubresourcesFetchInOneRound holds the origin's stylesheet response
+// until an image request arrives. The build fetches stylesheets and
+// images in one batch, so an image request comes while the sheet is
+// still held; a build that fetched images only after the sheets had
+// landed would leave the sheet waiting until the timeout.
+func TestSubresourcesFetchInOneRound(t *testing.T) {
+	forum := origin.NewForum(origin.DefaultForumConfig()).Handler()
+	imageSeen := make(chan struct{})
+	var once sync.Once
+	var sheetServed atomic.Bool
+	rig := newRigOver(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, ".css"):
+			select {
+			case <-imageSeen:
+				sheetServed.Store(true)
+			case <-time.After(10 * time.Second):
+				t.Errorf("stylesheet %s held 10s and no image was requested meanwhile", r.URL.Path)
+				http.Error(w, "timeout", http.StatusGatewayTimeout)
+				return
+			case <-r.Context().Done():
+				return
+			}
+		case strings.HasPrefix(r.URL.Path, "/images/"), strings.HasPrefix(r.URL.Path, "/ads/"):
+			once.Do(func() { close(imageSeen) })
+		}
+		forum.ServeHTTP(w, r)
+	}), nil)
+	if _, resp := rig.get(t, "/"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET / = %d", resp.StatusCode)
+	}
+	if !sheetServed.Load() {
+		t.Fatal("the stylesheet was never served")
+	}
+	if body, _ := rig.get(t, "/subpage/login"); !strings.Contains(body, `data-msite="inlined-css"`) {
+		t.Fatal("the login subpage has no inlined stylesheet")
 	}
 }

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"context"
 	"image"
 	"net/url"
 	"strings"
@@ -34,22 +33,25 @@ func pageHTML(result *attr.Result) []byte {
 // maxRenderImages bounds per-page image downloads.
 const maxRenderImages = 48
 
-// fetchImages downloads and decodes the images a render of doc needs,
-// keyed by the src attribute value as written (the key the rasterizer
-// looks up). Discovery walks the DOM once, the downloads run through
-// the fetcher's bounded worker pool (aborting when ctx ends), and
-// decoding (plus the map build) stays serial. Undecodable or
-// unfetchable images are skipped — the renderer falls back to
-// placeholders.
-func fetchImages(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base string) map[string]image.Image {
+// renderImages are the images a render of a document needs: each src
+// attribute value as written (the key the rasterizer looks up) beside
+// its absolute URL.
+type renderImages struct {
+	srcs, urls []string
+}
+
+// findImages walks doc once for the distinct <img> sources a render
+// needs, at most maxRenderImages, skipping data: URIs and sources that
+// do not resolve against base.
+func findImages(doc *dom.Node, base string) renderImages {
 	baseURL, err := url.Parse(base)
 	if err != nil {
-		return nil
+		return renderImages{}
 	}
-	var srcs, absURLs []string
+	var r renderImages
 	seen := make(map[string]bool)
 	doc.Walk(func(n *dom.Node) bool {
-		if n.Type != dom.ElementNode || n.Tag != "img" || len(srcs) >= maxRenderImages {
+		if n.Type != dom.ElementNode || n.Tag != "img" || len(r.srcs) >= maxRenderImages {
 			return true
 		}
 		src := n.AttrOr("src", "")
@@ -61,12 +63,19 @@ func fetchImages(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base stri
 			return true
 		}
 		seen[src] = true
-		srcs = append(srcs, src)
-		absURLs = append(absURLs, abs.String())
+		r.srcs = append(r.srcs, src)
+		r.urls = append(r.urls, abs.String())
 		return true
 	})
+	return r
+}
+
+// decode decodes the downloaded images, results[i] being the download of
+// urls[i]. Undecodable or unfetchable images are skipped: the renderer
+// falls back to placeholders.
+func (r renderImages) decode(results []fetch.Result) map[string]image.Image {
 	images := make(map[string]image.Image)
-	for i, res := range f.FetchAllContext(ctx, absURLs, 0) {
+	for i, res := range results {
 		if res.Err != nil {
 			continue
 		}
@@ -77,8 +86,8 @@ func fetchImages(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base stri
 		// Key by the attribute as written and by its absolute form: the
 		// URL-anchoring pass rewrites srcs to absolute before the
 		// snapshot render looks them up.
-		images[srcs[i]] = decoded
-		images[absURLs[i]] = decoded
+		images[r.srcs[i]] = decoded
+		images[r.urls[i]] = decoded
 	}
 	return images
 }
